@@ -65,6 +65,8 @@ __all__ = [
 
 Rat = Fraction
 
+MAX_DEGREE = 64  # largest exponent of e the grammar accepts; bounds parsed degrees
+
 
 def _as_fraction(x):
     if isinstance(x, Fraction):
@@ -729,7 +731,10 @@ class _ElemParser:
         if self.peek()[0] == "^":
             self.take()
             t = self.expect("num", "digits after '^'")
-            return int(t[1])
+            k = int(t[1])
+            if k > MAX_DEGREE:
+                raise ElemSyntaxError(f"degree {k} exceeds {MAX_DEGREE}", t[2])
+            return k
         return 1
 
 

@@ -302,7 +302,7 @@ def mat_from_json(obj):
         raise ValueError('matrix JSON must be {"n": ..., "entries": [[...]]}')
     n = obj["n"]
     entries = obj["entries"]
-    if not isinstance(n, int) or not isinstance(entries, list) or len(entries) != n:
+    if type(n) is not int or not isinstance(entries, list) or len(entries) != n:
         raise ValueError("matrix JSON: 'entries' must be an n-list of n-lists")
     rows = []
     for row in entries:

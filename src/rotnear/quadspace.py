@@ -114,11 +114,10 @@ class BilinearSpace:
 
 
 class Isometry:
-    """A matrix m with m^T G m = G for the space's Gram matrix G.
-
-    Construction validates the defining identity exactly; det is then
-    automatically +1 or -1 (`is_rotation` when +1).
-    """
+    """A matrix m with m^T G m = G for the space's Gram matrix G; det is
+    +1 or -1 (`is_rotation` when +1).  The public constructor validates
+    both exactly.  Quadspace's own operations yield isometries by
+    construction and carry det by multiplicativity."""
 
     __slots__ = ("sp", "m", "det")
 
@@ -133,15 +132,22 @@ class Isometry:
             raise ArithmeticError("isometry determinant must be +1 or -1")
         self.sp = sp
         self.m = m
-        self.det = d
+        self.det = 1 if d == 1 else -1
+
+    @classmethod
+    def _built(cls, sp, m, det):
+        # m is an isometry of det `det` by construction: nothing to re-check.
+        iso = object.__new__(cls)
+        iso.sp, iso.m, iso.det = sp, m, det
+        return iso
 
     @classmethod
     def identity(cls, sp):
-        return cls(sp, Mat.identity(sp.n))
+        return cls._built(sp, Mat.identity(sp.n), 1)
 
     @classmethod
     def neg_identity(cls, sp):
-        return cls(sp, -Mat.identity(sp.n))
+        return cls._built(sp, -Mat.identity(sp.n), (-1) ** sp.n)
 
     @property
     def is_rotation(self):
@@ -155,13 +161,17 @@ class Isometry:
             return NotImplemented
         if self.sp.d != other.sp.d:
             raise ValueError("isometries live in different spaces")
-        return Isometry(self.sp, self.m @ other.m)
+        return Isometry._built(self.sp, self.m @ other.m, self.det * other.det)
 
     def inverse(self):
-        # G^-1 m^T G, exact and cheap for diagonal G.
-        g = self.sp.gram
-        ginv = Mat.diag([Fraction(1) / x for x in self.sp.d])
-        return Isometry(self.sp, ginv @ self.m.T @ g)
+        # G^-1 m^T G for diagonal G: entry (i, j) is m[j][i] d_j / d_i,
+        # left unscaled where d_i = d_j to spare Q(e) entries a gcd.
+        d = self.sp.d
+        inv = [
+            [x if di == dj else x * (dj / di) for x, dj in zip(col, d)]
+            for col, di in zip(zip(*self.m.rows), d)
+        ]
+        return Isometry._built(self.sp, Mat(inv), self.det)
 
     def __eq__(self, other):
         if not isinstance(other, Isometry):
@@ -214,17 +224,16 @@ def reflect(sp, u):
             x = 2 * sp.d[j] * u[j] * u[i] / qu
             row.append((Fraction(1) if i == j else Fraction(0)) - x)
         rows.append(row)
-    return Isometry(sp, Mat(rows))
+    return Isometry._built(sp, Mat(rows), -1)
 
 
 def compose(sp, rs):
     """Product isometry tau_{u_1}...tau_{u_m} of a reflection sequence
     (or any iterable of vectors); the empty product is the identity."""
-    vectors = rs.vectors if isinstance(rs, ReflectionSeq) else tuple(rs)
-    acc = Mat.identity(sp.n)
-    for u in vectors:
-        acc = acc @ reflect(sp, u).m
-    return Isometry(sp, acc)
+    acc = Isometry.identity(sp)
+    for u in rs:
+        acc = acc @ reflect(sp, u)
+    return acc
 
 
 def decompose(sp, iso):
@@ -258,12 +267,7 @@ def spinor_norm(sp, obj):
     """Square class of the product of q(u_i) over a reflection
     factorization.  Accepts an Isometry (factored via `decompose`), a
     ReflectionSeq, or an iterable of vectors."""
-    if isinstance(obj, Isometry):
-        vectors = decompose(sp, obj).vectors
-    elif isinstance(obj, ReflectionSeq):
-        vectors = obj.vectors
-    else:
-        vectors = tuple(obj)
+    vectors = decompose(sp, obj) if isinstance(obj, Isometry) else obj
     acc = Fraction(1)
     for u in vectors:
         qu = sp.q_value(u)

@@ -93,7 +93,7 @@ def witnesses(sp):
         raise ValueError("dimension at least 3 required")
     inside = Isometry(sp, infinitesimal_rotation(contact_generator(n)))
     if n % 2:
-        outside = Isometry(sp, -reflect(sp, Vec.basis(n, 0)).m)
+        outside = Isometry.neg_identity(sp) @ reflect(sp, Vec.basis(n, 0))
     else:
         outside = compose(sp, [Vec.basis(n, 0), Vec.basis(n, 1)])
     i = Mat.identity(n)

@@ -127,6 +127,12 @@ def test_neumann_rejects_even_m(tmp_path, capsys):
     assert "odd" in err
 
 
+def test_neumann_rejects_m_above_the_degree_limit(tmp_path, capsys):
+    code, _, err = run(capsys, ["neumann", write(tmp_path, "m.json", SKEW2), "--m", "65"])
+    assert code == 2
+    assert "64" in err
+
+
 def test_demo_certificates(tmp_path, capsys):
     code, out, _ = run(capsys, ["demo", "--n", "3"])
     assert code == 0
@@ -197,6 +203,13 @@ def test_size_guard_degree(tmp_path, capsys):
     code, _, err = run(capsys, ["cayley", write(tmp_path, "m.json", bad)])
     assert code == 2
     assert "degree" in err
+
+
+def test_boolean_dimension_is_input_error(tmp_path, capsys):
+    bad = {"n": True, "entries": [["3"]]}
+    code, out, _ = run(capsys, ["cayley", write(tmp_path, "m.json", bad)])
+    assert code == 2
+    assert out == ""
 
 
 def test_stdin_roundtrip(tmp_path, capsys, monkeypatch):

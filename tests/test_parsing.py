@@ -76,6 +76,12 @@ def test_syntax_errors_carry_offsets():
         parse_elem("(1+e")
 
 
+def test_exponent_above_the_degree_limit_is_a_syntax_error():
+    assert parse_elem("e^64") == eps**64
+    with pytest.raises(ElemSyntaxError, match="degree"):
+        parse_elem("e^20000000")
+
+
 def test_multi_term_numerator_requires_parens():
     with pytest.raises(ElemSyntaxError):
         parse_elem("1+e/(1+e)")

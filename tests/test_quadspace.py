@@ -104,6 +104,24 @@ def test_isometry_inverse_and_product():
         assert iso.inverse().det == iso.det
 
 
+def test_built_isometries_pass_the_validating_constructor():
+    # Products, inverses, reflections, compositions and +-identity are not
+    # re-validated when built; re-check each through the public constructor.
+    rng = random.Random(13)
+    for n in range(3, 6):
+        for sp in (BilinearSpace.identity_form(n), BilinearSpace(range(1, n + 1))):
+            for _ in range(3):
+                s, t = random_isometry(sp, rng), random_isometry(sp, rng)
+                vs = [random_vector(rng, n) for _ in range(rng.randint(0, n))]
+                r = reflect(sp, random_vector(rng, n))
+                # a Q(e) entry matrix, so inverse scales RatFuncEps by d_j/d_i
+                x = reflect(sp, Vec([eps, 1] + [0] * (n - 2))) @ s
+                built = [s @ t, s.inverse(), r, compose(sp, vs), x, x.inverse()]
+                built += [Isometry.identity(sp), Isometry.neg_identity(sp)]
+                for b in built:
+                    assert Isometry(sp, b.m).det == b.det
+
+
 def test_decompose_identity_is_empty():
     assert len(decompose(SP3, Isometry.identity(SP3))) == 0
     assert compose(SP3, []).m == Mat.identity(3)
