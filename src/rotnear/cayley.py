@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import eps, is_infinitesimal
-from .linalg import Mat, SingularMatrixError, det, frob_sq, inverse, is_orthogonal
+from .field import PolyEps, RatFuncEps, eps, is_infinitesimal
+from .linalg import Mat, SingularMatrixError, _bareiss, _gram_is, _over, _split
 
 __all__ = [
     "CayleyObstructionError",
@@ -37,17 +37,36 @@ class CayleyObstructionError(ArithmeticError):
     """I + A is singular: -1 is an eigenvalue obstruction."""
 
 
-def cayley(a):
-    """Apply the Cayley map exactly; raises CayleyObstructionError when
-    I + A is singular."""
-    i = Mat.identity(a.n)
+def _cayley_split(a):
+    """The Cayley image of a = P/d, unreduced: returns (N, delta, M, sign)
+    with cayley(a) = N/delta, M = dI - P and det(dI + P) = sign * delta.
+
+    With I + a = (dI + P)/d and I - a = (dI - P)/d, the image is
+    (dI - P) adj(dI + P) / det(dI + P); fraction-free Gauss-Jordan on
+    dI + P gives its last pivot delta and r = delta (dI + P)^-1, so
+    N = (dI - P) r.
+    """
+    p, d = _split(a)
+    plus = [[d + x if i == j else x for j, x in enumerate(row)] for i, row in enumerate(p)]
+    minus = [[d - x if i == j else -x for j, x in enumerate(row)] for i, row in enumerate(p)]
     try:
-        inv = inverse(i + a)
+        sign, delta, r = _bareiss(plus, jordan=True)
     except SingularMatrixError as exc:
         raise CayleyObstructionError(
             "-1 is an eigenvalue obstruction: I+A is singular"
         ) from exc
-    return (i - a) @ inv
+    cols = list(zip(*r))
+    num = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in minus]
+    return num, delta, minus, sign
+
+
+def cayley(a):
+    """Apply the Cayley map exactly: with a = P/d over one common
+    denominator, the image is (dI - P) adj(dI + P) / det(dI + P), built
+    by fraction-free elimination and reduced once per entry.  Raises
+    CayleyObstructionError when I + A is singular."""
+    num, delta, _, _ = _cayley_split(a)
+    return Mat([[_over(x, delta) for x in row] for row in num])
 
 
 def is_skew(a):
@@ -66,22 +85,33 @@ def _require_rational_skew(b, *, nonzero):
 def infinitesimal_rotation(b):
     """Rotation A = cayley(e*B) over Q(e), for nonzero rational skew B.
 
-    Checked before returning: A != +-I, A^T A = I, det A = 1, and
-    frob_sq(I - A) is infinitesimal.
+    Checked exactly before returning, on A = N/delta before its entries
+    are reduced: A != +-I (N != +-delta I), A^T A = I
+    (N^T N = delta^2 I), det A = det(I - eB) / det(I + eB) = 1, and
+    frob_sq(I - A) = frob_sq(delta I - N) / delta^2 is infinitesimal.
     """
     _require_rational_skew(b, nonzero=True)
-    a = cayley(eps * b)
-    i = Mat.identity(b.n)
+    num, delta, minus, sign = _cayley_split(eps * b)
+
+    def shifted(s):  # N - s*delta*I
+        return [
+            [x - s * delta if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(num)
+        ]
+
+    gap = shifted(1)
+    dd = delta * delta
+    minus_sign, minus_delta, _ = _bareiss(minus)
     ok = (
-        a != i
-        and a != -i
-        and is_orthogonal(a)
-        and det(a) == 1
-        and is_infinitesimal(frob_sq(i - a))
+        any(map(any, gap))
+        and any(map(any, shifted(-1)))
+        and _gram_is(num, dd)
+        and minus_sign * minus_delta == sign * delta
+        and is_infinitesimal(_over(sum(x * x for row in gap for x in row), dd))
     )
     if not ok:
         raise ArithmeticError("near-identity construction failed its guarantees")
-    return a
+    return Mat([[_over(x, delta) for x in row] for row in num])
 
 
 @dataclass(frozen=True)
@@ -101,14 +131,20 @@ def neumann_check(b, m):
     if not isinstance(m, int) or m < 1 or m % 2 == 0:
         raise ValueError("m must be an odd positive integer")
     _require_rational_skew(b, nonzero=False)
+    n = b.n
     eb = eps * b
-    i = Mat.identity(b.n)
-    d = i
-    term = i
+    i = Mat.identity(n)
+    # D has no denominator: its coefficient of e^k is the matrix (-B)^k.
+    powers = [i]
     for _ in range(m - 1):
-        term = term @ (-eb)
-        d = d + term
+        powers.append(powers[-1] @ -b)
+    d = Mat(
+        [[RatFuncEps(PolyEps([pk[r, c] for pk in powers])) for c in range(n)] for r in range(n)]
+    )
     identity_holds = (i + eb) @ d == i + (eps**m) * (b**m)
-    gap = inverse(i + eb) - d
-    gap_sq = frob_sq(gap)
+    # with I + eB = P/c and R = delta P^-1: (I+eB)^-1 - D = (cR - delta D)/delta
+    p, c = _split(i + eb)
+    _, delta, r = _bareiss(p, jordan=True)
+    gap = [[c * x - delta * y for x, y in zip(rr, dr)] for rr, dr in zip(r, _split(d)[0])]
+    gap_sq = _over(sum(x * x for row in gap for x in row), delta * delta)
     return NeumannReport(m, d, identity_holds, gap_sq, is_infinitesimal(gap_sq))

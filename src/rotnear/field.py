@@ -188,8 +188,13 @@ class PolyEps:
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers must be non-negative integers")
         out = _POLY_ONE
-        for _ in range(k):
-            out = out * self
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __divmod__(self, other):

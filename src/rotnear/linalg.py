@@ -2,19 +2,28 @@
 
 Vectors and square matrices hold Fractions and/or RatFuncEps entries
 (ints are promoted to Fractions on construction) and are immutable.
-`inverse` and `det` run plain Gaussian elimination with exact division;
-the pivot is the first row with a nonzero entry in the current column.
-Norm questions are handled entirely through `frob_sq`, the *squared*
-Frobenius norm: every downstream order/infinitesimality statement is
-equivalent to its squared form, which avoids square roots that Q(e)
-does not have.
+
+Products, determinants, inverses, norms and the orthogonality test work
+on a matrix written as P/d with one common denominator: P is an integer
+matrix and d the lcm of the entry denominators when every entry is
+rational, and otherwise P is a polynomial matrix over Q[e] and d the lcm
+of the monic denominators.  `det` and `inverse` run Bareiss's
+fraction-free elimination on P (forward for `det`, Gauss-Jordan on
+[P | I] for `inverse`), whose every division is exact, so no gcd is
+taken inside the loops; each output entry is reduced to canonical form
+once.  The pivot is the first row with a nonzero entry in the current
+column.  Norm questions are handled entirely through `frob_sq`, the
+*squared* Frobenius norm: every downstream order/infinitesimality
+statement is equivalent to its squared form, which avoids square roots
+that Q(e) does not have.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .field import RatFuncEps, format_elem, parse_elem
+from .field import PolyEps, RatFuncEps, format_elem, parse_elem
 
 __all__ = [
     "Vec",
@@ -35,6 +44,85 @@ def _canon_entry(x):
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"exact entries required, got {type(x).__name__}")
+
+
+def _split(a):
+    """Write the matrix a as P/d with one common denominator d.
+
+    All-rational a gives an int matrix P and the int lcm d of the entry
+    denominators.  Otherwise P holds PolyEps entries and d is the monic
+    lcm of the RatFuncEps denominators (rationals are constants of Q[e]).
+    """
+    if all(isinstance(x, Fraction) for x in a.entries()):
+        d = math.lcm(*(x.denominator for x in a.entries()))
+        return [[x.numerator * (d // x.denominator) for x in row] for row in a.rows], d
+    dens = dict.fromkeys(x.den for x in a.entries() if isinstance(x, RatFuncEps))
+    d = PolyEps(1)
+    for den in dens:
+        if den != d:
+            d = d * (den // PolyEps.gcd(d, den))
+    scale = {den: d // den for den in dens if den != d}
+
+    def num(x):
+        if isinstance(x, Fraction):
+            return d * x
+        return x.num * scale[x.den] if x.den in scale else x.num
+
+    return [[num(x) for x in row] for row in a.rows], d
+
+
+def _over(num, den):
+    """The canonical field element num/den: a Fraction over Z, a RatFuncEps
+    over Q[e]."""
+    if isinstance(den, int):
+        return Fraction(num, den)
+    return RatFuncEps(num, den)
+
+
+def _exact_div(x, y):
+    q, r = divmod(x, y)
+    if r:
+        raise ArithmeticError("fraction-free elimination: inexact division")
+    return q
+
+
+def _bareiss(p, jordan=False):
+    """Bareiss's fraction-free elimination on the square matrix p (lists
+    of ints or of PolyEps); every division is exact.
+
+    Returns (sign, delta, r): delta is the last pivot and
+    det(p) = sign * delta.  With `jordan`, the elimination is
+    Gauss-Jordan on [p | I], which ends at [delta*I | r], so
+    r = delta * p^-1; otherwise r is None.  Raises SingularMatrixError
+    with the column that has no pivot.
+    """
+    n = len(p)
+    if jordan:
+        m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(p)]
+    else:
+        m = [list(row) for row in p]
+    width = len(m[0])
+    sign = 1
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            raise SingularMatrixError(k)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pk = m[k]
+        pv = pk[k]
+        for i in range(n) if jordan else range(k + 1, n):
+            if i == k:
+                continue
+            ri = m[i]
+            f = ri[k]
+            for j in range(k + 1, width):
+                x = pv * ri[j] - f * pk[j] if f else pv * ri[j]
+                ri[j] = _exact_div(x, prev) if k and x else x
+        prev = pv
+    return sign, prev, [row[n:] for row in m] if jordan else None
 
 
 class Vec:
@@ -188,12 +276,16 @@ class Mat:
 
     def __matmul__(self, other):
         if isinstance(other, Mat):
+            # P/d @ Q/e = PQ/(de), each entry reduced once
             self._same_n(other)
-            cols = tuple(zip(*other.rows))
+            p, d = _split(self)
+            q, e = _split(other)
+            de = d * e
+            cols = tuple(zip(*q))
             return Mat(
                 tuple(
-                    tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                    for row in self.rows
+                    tuple(_over(sum(a * b for a, b in zip(row, col)), de) for col in cols)
+                    for row in p
                 )
             )
         if isinstance(other, Vec):
@@ -208,8 +300,13 @@ class Mat:
         if not isinstance(k, int) or k < 0:
             raise ValueError("matrix powers must be non-negative integers")
         out = Mat.identity(self.n)
-        for _ in range(k):
-            out = out @ self
+        base = self
+        while k:
+            if k & 1:
+                out = out @ base
+            k >>= 1
+            if k:
+                base = base @ base
         return out
 
     @property
@@ -232,60 +329,46 @@ class SingularMatrixError(ArithmeticError):
 
 
 def det(a):
-    """Exact determinant by Gaussian elimination."""
-    n = a.n
-    work = [list(row) for row in a.rows]
-    acc = 1
-    flip = False
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            return acc * 0
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            flip = not flip
-        pv = work[col][col]
-        acc = acc * pv
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                f = work[r][col] / pv
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return -acc if flip else acc
+    """Exact determinant: det(P)/d^n for a = P/d, by fraction-free
+    elimination."""
+    p, d = _split(a)
+    try:
+        sign, delta, _ = _bareiss(p)
+    except SingularMatrixError:
+        return _over(0, d)
+    return _over(delta if sign > 0 else -delta, d**a.n)
 
 
 def inverse(a):
-    """Exact inverse by Gauss-Jordan elimination; raises
-    SingularMatrixError (carrying the failing column) when singular."""
-    n = a.n
-    work = [
-        list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(a.rows)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError(col)
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return Mat([row[n:] for row in work])
+    """Exact inverse d*P^-1 for a = P/d, by fraction-free Gauss-Jordan
+    elimination; raises SingularMatrixError (carrying the failing column)
+    when singular."""
+    p, d = _split(a)
+    _, delta, r = _bareiss(p, jordan=True)
+    return Mat([[_over(d * x, delta) for x in row] for row in r])
 
 
 def frob_sq(a):
     """Squared Frobenius norm: the sum of the squares of the entries."""
-    acc = Fraction(0)
-    for x in a.entries():
-        acc = acc + x * x
-    return acc
+    p, d = _split(a)
+    return _over(sum(x * x for row in p for x in row), d * d)
+
+
+def _gram_is(p, dd):
+    """P^T P == dd * I, for P a list of rows."""
+    cols = list(zip(*p))
+    for i, ci in enumerate(cols):
+        for j in range(i, len(cols)):
+            s = sum(x * y for x, y in zip(ci, cols[j]))
+            if (s != dd) if i == j else s:
+                return False
+    return True
 
 
 def is_orthogonal(a):
-    return a.T @ a == Mat.identity(a.n)
+    """A^T A == I, tested as P^T P == d^2 I for a = P/d."""
+    p, d = _split(a)
+    return _gram_is(p, d * d)
 
 
 def mat_to_json(a):
@@ -302,7 +385,9 @@ def mat_from_json(obj):
         raise ValueError('matrix JSON must be {"n": ..., "entries": [[...]]}')
     n = obj["n"]
     entries = obj["entries"]
-    if type(n) is not int or not isinstance(entries, list) or len(entries) != n:
+    if type(n) is not int or n < 1:
+        raise ValueError("matrix JSON: 'n' must be a positive integer")
+    if not isinstance(entries, list) or len(entries) != n:
         raise ValueError("matrix JSON: 'entries' must be an n-list of n-lists")
     rows = []
     for row in entries:

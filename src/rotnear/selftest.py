@@ -389,9 +389,15 @@ def check_field_oracle(seed=0, trials=500, max_deg=6):
                 failures.add(f"trial {t}: class(x*y^2) != class(x)")
             probes = (special[t],) if t < len(special) else (x, x * eps)
             for z in probes:
-                if numeric_sign_probe(z) != sign(z):
+                try:
+                    probed_sign = numeric_sign_probe(z)
+                    probed_decay = numeric_decay_probe(z)
+                except ArithmeticError as exc:
+                    failures.add(f"trial {t}: probe failed: {exc}")
+                    continue
+                if probed_sign != sign(z):
                     failures.add(f"trial {t}: sign disagrees with the probe")
-                if numeric_decay_probe(z) != is_infinitesimal(z):
+                if probed_decay != is_infinitesimal(z):
                     failures.add(f"trial {t}: infinitesimality disagrees with probe")
     except _TooManyFailures:
         pass

@@ -102,3 +102,18 @@ def test_field_oracle_agreement_500_samples(acceptance_report):
     # the independent numeric probes at e = 10^-k, k = 1..12
     result = acceptance_report(check_field_oracle(seed=SEED, trials=500, max_deg=6))
     _assert_passed(result)
+
+
+def test_field_oracle_reports_probe_errors_as_failures(monkeypatch):
+    # a probe that cannot decide (all points poles, unstable signs)
+    # raises ArithmeticError; the checker records it as a failed trial
+    import rotnear.selftest as selftest
+
+    def undecided(x):
+        raise ArithmeticError("probe signs did not stabilize")
+
+    monkeypatch.setattr(selftest, "numeric_sign_probe", undecided)
+    result = selftest.check_field_oracle(seed=SEED, trials=3, max_deg=2)
+    assert not result.passed
+    assert result.failures[0] == "trial 0: probe failed: probe signs did not stabilize"
+    assert len(result.failures) == 3

@@ -1,6 +1,7 @@
 """Cayley map tests: the involution, skew <-> rotation exchange, the
 near-identity construction, and the truncated-series identity."""
 
+import importlib
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from rotnear.cayley import (
     is_skew,
     neumann_check,
 )
-from rotnear.field import eps, eps_order, is_infinitesimal
+from rotnear.field import PolyEps, eps, eps_order, is_infinitesimal
 from rotnear.linalg import Mat, det, frob_sq, inverse, is_orthogonal
 from rotnear.quadspace import BilinearSpace
 from rotnear.sampling import random_rotation, random_skew
@@ -84,6 +85,39 @@ def test_infinitesimal_rotation_rejects_bad_input():
         infinitesimal_rotation(eps * B2)  # entries not rational
 
 
+def test_infinitesimal_rotation_guarantee_checks_fire(monkeypatch):
+    # Each forged Cayley image breaks only the guarantee named beside it,
+    # except A = -I, which is also far from I.  (The package re-exports
+    # the function `cayley` over the module's name.)
+    cay = importlib.import_module("rotnear.cayley")
+
+    real = cay._cayley_split
+    b = Mat([[0, 1, 2], [-1, 0, 0], [-2, 0, 0]])
+    num, delta, minus, sign = real(eps * b)
+    n = b.n
+    e = PolyEps((0, 1))
+
+    def scaled(rows):
+        return [[delta * x for x in row] for row in rows]
+
+    def ident(s):
+        return [[s if i == j else 0 for j in range(n)] for i in range(n)]
+
+    forged = {
+        "A = I": (scaled(ident(1)), delta, minus, sign),
+        "A = -I": (scaled(ident(-1)), delta, minus, sign),
+        "not orthogonal": ([[x * (1 + e) for x in row] for row in num], delta, minus, sign),
+        "det(I - eB) != det(I + eB)": (num, delta, minus, -sign),
+        "not infinitesimal": (scaled([[0, 1, 0], [-1, 0, 0], [0, 0, 1]]), delta, minus, sign),
+    }
+    for what, parts in forged.items():
+        monkeypatch.setattr(cay, "_cayley_split", lambda a, parts=parts: parts)
+        with pytest.raises(ArithmeticError, match="failed its guarantees"):
+            infinitesimal_rotation(b)
+    monkeypatch.setattr(cay, "_cayley_split", real)
+    assert infinitesimal_rotation(b) == cayley(eps * b)
+
+
 def test_infinitesimal_rotation_3x3_block():
     b = Mat([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
     a = infinitesimal_rotation(b)
@@ -132,3 +166,20 @@ def test_neumann_gap_order_grows_with_m():
         rep = neumann_check(B2, m)
         assert rep.identity_holds
         assert eps_order(rep.gap_sq) >= 2 * m
+
+
+def test_neumann_report_matches_the_field_arithmetic_route():
+    # D and the gap recomputed with Mat products, sums and the public
+    # inverse, entry by entry in canonical form
+    rng = random.Random(31)
+    for n in (2, 3, 4):
+        b = random_skew(rng, n)
+        for m in (1, 3, 5):
+            rep = neumann_check(b, m)
+            i = Mat.identity(n)
+            d, term = i, i
+            for _ in range(m - 1):
+                term = term @ (-eps * b)
+                d = d + term
+            assert rep.d == d
+            assert rep.gap_sq == frob_sq(inverse(i + eps * b) - d)

@@ -212,6 +212,15 @@ def test_boolean_dimension_is_input_error(tmp_path, capsys):
     assert out == ""
 
 
+def test_non_integer_dimension_names_the_n_field(tmp_path, capsys):
+    for n in (True, 2.0, "2", 0):
+        bad = {"n": n, "entries": [["3"]]}
+        code, out, err = run(capsys, ["cayley", write(tmp_path, "m.json", bad)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: matrix JSON: 'n' must be a positive integer\n"
+
+
 def test_stdin_roundtrip(tmp_path, capsys, monkeypatch):
     import io
 

@@ -75,6 +75,16 @@ def test_mixed_arithmetic_with_rationals():
     assert (Fraction(3, 4) / (1 + eps)) * (1 + eps) == Fraction(3, 4)
 
 
+def test_poly_pow_matches_repeated_products():
+    p = PolyEps((Fraction(1, 2), -3, 0, 2))
+    acc = PolyEps(1)
+    for k in range(12):
+        assert p**k == acc
+        acc = acc * p
+    with pytest.raises(ValueError, match="non-negative integers"):
+        p ** -1
+
+
 def test_pow_negative_exponent():
     assert eps**-2 == 1 / eps**2
     with pytest.raises(ZeroDivisionError):

@@ -1,12 +1,13 @@
 """Exact linear algebra tests: products, inverses, determinants, and
 the squared-norm calculus."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from rotnear.field import eps, is_infinitesimal, sign
+from rotnear.field import RatFuncEps, eps, is_infinitesimal, sign
 from rotnear.linalg import (
     Mat,
     SingularMatrixError,
@@ -18,7 +19,7 @@ from rotnear.linalg import (
     mat_from_json,
     mat_to_json,
 )
-from rotnear.sampling import random_skew
+from rotnear.sampling import random_ratfunc, random_skew
 
 
 def rand_mat(rng, n, bound=3):
@@ -208,3 +209,163 @@ def test_mat_pow():
     assert b**0 == Mat.identity(2)
     assert b**2 == -Mat.identity(2)
     assert b**3 == -b
+
+
+def test_mat_pow_matches_repeated_products():
+    rng = random.Random(17)
+    for a in (rand_mat(rng, 3), Mat.identity(2) + eps * random_skew(rng, 2)):
+        acc = Mat.identity(a.n)
+        for k in range(9):
+            assert a**k == acc
+            acc = acc @ a
+    with pytest.raises(ValueError, match="non-negative integers"):
+        Mat.identity(2) ** -1
+
+
+# ---------------------------------------------------------------------------
+# independent oracles for the fraction-free kernel behind det, inverse,
+# frob_sq, is_orthogonal and products
+
+
+def leibniz_det(a):
+    """Permutation-sum expansion, with field arithmetic entry by entry."""
+    total = Fraction(0)
+    for perm in itertools.permutations(range(a.n)):
+        inversions = sum(
+            1 for i in range(a.n) for j in range(i + 1, a.n) if perm[i] > perm[j]
+        )
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * a[i, j]
+        total = total + term
+    return total
+
+
+def rand_q_mat(rng, n):
+    return Mat(
+        [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(n)
+        ]
+    )
+
+
+def rand_qe_entry(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    if kind == 1:
+        return rng.randint(-2, 2) + rng.randint(-2, 2) * eps
+    return random_ratfunc(rng, max_deg=2, bound=3)
+
+
+def rand_qe_mat(rng, n):
+    return Mat([[rand_qe_entry(rng) for _ in range(n)] for _ in range(n)])
+
+
+def kernel_samples(seed, per_n=6):
+    rng = random.Random(seed)
+    for n in range(1, 5):
+        for _ in range(per_n):
+            yield rand_q_mat(rng, n)
+            yield rand_qe_mat(rng, n)
+
+
+def test_det_matches_leibniz_expansion():
+    for a in kernel_samples(21):
+        assert det(a) == leibniz_det(a)
+
+
+def test_det_of_a_rank_deficient_matrix_is_zero():
+    rng = random.Random(22)
+    for a in kernel_samples(22):
+        if a.n < 2:
+            continue
+        # last row := c * row 0 + row n-2 (for n = 2, a multiple of row 0)
+        rows = [list(r) for r in a.rows]
+        c = rand_qe_entry(rng)
+        rows[-1] = [c * x + y for x, y in zip(rows[0], rows[-2])]
+        b = Mat(rows)
+        assert leibniz_det(b) == 0
+        assert det(b) == 0
+
+
+def test_inverse_is_a_two_sided_inverse():
+    checked = 0
+    for a in kernel_samples(23):
+        if leibniz_det(a) == 0:
+            with pytest.raises(SingularMatrixError):
+                inverse(a)
+            continue
+        ai = inverse(a)
+        assert a @ ai == Mat.identity(a.n)
+        assert ai @ a == Mat.identity(a.n)
+        checked += 1
+    assert checked >= 40
+
+
+def test_mixed_rational_and_qe_entries():
+    a = Mat([[Fraction(1, 2), eps], [1 / (1 + eps), Fraction(3)]])
+    assert any(isinstance(x, Fraction) for x in a.entries())
+    assert any(isinstance(x, RatFuncEps) for x in a.entries())
+    assert det(a) == leibniz_det(a) == Fraction(3, 2) - eps / (1 + eps)
+    ai = inverse(a)
+    assert a @ ai == Mat.identity(2) == ai @ a
+    assert frob_sq(a) == Fraction(1, 4) + eps**2 + 1 / (1 + eps) ** 2 + 9
+    # products with a purely rational factor on either side
+    r = Mat([[1, 2], [Fraction(1, 3), 0]])
+    assert (r @ a)[0, 1] == eps + 6
+    assert (a @ r)[1, 0] == 1 / (1 + eps) + 1
+
+
+def test_matrix_product_matches_entrywise_sums():
+    for a, b in zip(kernel_samples(24), kernel_samples(25)):
+        if a.n != b.n:
+            continue
+        expected = Mat(
+            [
+                [sum((a[i, k] * b[k, j] for k in range(a.n)), Fraction(0)) for j in range(a.n)]
+                for i in range(a.n)
+            ]
+        )
+        assert a @ b == expected
+
+
+def test_frob_sq_and_orthogonality_match_entrywise_sums():
+    for a in kernel_samples(26):
+        assert frob_sq(a) == sum((x * x for x in a.entries()), Fraction(0))
+        gram = Mat(
+            [
+                [sum((a[k, i] * a[k, j] for k in range(a.n)), Fraction(0)) for j in range(a.n)]
+                for i in range(a.n)
+            ]
+        )
+        assert is_orthogonal(a) == (gram == Mat.identity(a.n))
+
+
+def test_singular_column_when_the_pivot_vanishes_only_after_elimination():
+    # every listed column has nonzero entries before elimination starts
+    cases = [
+        (Mat([[1, 2, 3], [2, 4, 6], [1, 3, 5]]), 2),
+        (Mat([[2, 1, 1], [4, 2, 3], [6, 3, 1]]), 1),
+        (Mat([[1, eps], [eps, eps**2]]), 1),
+        (Mat([[1, eps, 1], [eps, eps**2, eps], [1, 2, 3]]), 2),
+        (Mat([[1 / (1 + eps), 1], [1, 1 + eps]]), 1),
+    ]
+    for a, column in cases:
+        with pytest.raises(SingularMatrixError) as err:
+            inverse(a)
+        assert err.value.column == column
+        assert det(a) == 0 == leibniz_det(a)
+
+
+def test_rational_input_gives_rational_results():
+    for a in kernel_samples(27):
+        if not all(isinstance(x, Fraction) for x in a.entries()):
+            continue
+        assert isinstance(det(a), Fraction)
+        assert isinstance(frob_sq(a), Fraction)
+        assert all(isinstance(x, Fraction) for x in (a @ a).entries())
+        if det(a) != 0:
+            assert all(isinstance(x, Fraction) for x in inverse(a).entries())
+    assert isinstance(det(Mat.zero(3)), Fraction)
