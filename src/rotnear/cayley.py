@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import PolyEps, RatFuncEps, eps, is_infinitesimal
-from .linalg import Mat, SingularMatrixError, _bareiss, _gram_is, _over, _split
+from .linalg import Mat, SingularMatrixError, _bareiss, _over, _preserves, _split
 
 __all__ = [
     "CayleyObstructionError",
@@ -105,7 +105,7 @@ def infinitesimal_rotation(b):
     ok = (
         any(map(any, gap))
         and any(map(any, shifted(-1)))
-        and _gram_is(num, dd)
+        and _preserves(num, dd)
         and minus_sign * minus_delta == sign * delta
         and is_infinitesimal(_over(sum(x * x for row in gap for x in row), dd))
     )

@@ -288,10 +288,11 @@ class RatFuncEps:
             self.num = _POLY_ZERO
             self.den = _POLY_ONE
             return
-        g = PolyEps.gcd(num, den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
+        if den.degree > 0:  # a constant den has no common factor with num
+            g = PolyEps.gcd(num, den)
+            if g.degree > 0:
+                num = num // g
+                den = den // g
         if den.lc != 1:
             inv = Fraction(1) / den.lc
             num = num * inv
@@ -323,7 +324,10 @@ class RatFuncEps:
         return hash((self.num.coeffs, self.den.coeffs))
 
     def __neg__(self):
-        return RatFuncEps(-self.num, self.den)
+        # -num/den is canonical when num/den is: nothing to reduce
+        out = object.__new__(RatFuncEps)
+        out.num, out.den = -self.num, self.den
+        return out
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -337,13 +341,13 @@ class RatFuncEps:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return RatFuncEps(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)

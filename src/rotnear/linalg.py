@@ -12,10 +12,12 @@ fraction-free elimination on P (forward for `det`, Gauss-Jordan on
 [P | I] for `inverse`), whose every division is exact, so no gcd is
 taken inside the loops; each output entry is reduced to canonical form
 once.  The pivot is the first row with a nonzero entry in the current
-column.  Norm questions are handled entirely through `frob_sq`, the
-*squared* Frobenius norm: every downstream order/infinitesimality
-statement is equivalent to its squared form, which avoids square roots
-that Q(e) does not have.
+column.  The isometry test P^T G P == d^2 G for a diagonal form G
+(orthogonality when G = I) runs on P with no division at all.  Norm
+questions are handled entirely through `frob_sq`, the *squared*
+Frobenius norm: every downstream order/infinitesimality statement is
+equivalent to its squared form, which avoids square roots that Q(e)
+does not have.
 """
 
 from __future__ import annotations
@@ -46,17 +48,18 @@ def _canon_entry(x):
     raise TypeError(f"exact entries required, got {type(x).__name__}")
 
 
-def _split(a):
-    """Write the matrix a as P/d with one common denominator d.
+def _common(xs):
+    """Write the field elements xs as P/d with one common denominator d.
 
-    All-rational a gives an int matrix P and the int lcm d of the entry
-    denominators.  Otherwise P holds PolyEps entries and d is the monic
-    lcm of the RatFuncEps denominators (rationals are constants of Q[e]).
+    All-rational xs give int numerators and the int lcm d of the
+    denominators.  Otherwise the numerators are PolyEps and d is the
+    monic lcm of the RatFuncEps denominators (rationals are constants of
+    Q[e]).
     """
-    if all(isinstance(x, Fraction) for x in a.entries()):
-        d = math.lcm(*(x.denominator for x in a.entries()))
-        return [[x.numerator * (d // x.denominator) for x in row] for row in a.rows], d
-    dens = dict.fromkeys(x.den for x in a.entries() if isinstance(x, RatFuncEps))
+    if all(isinstance(x, Fraction) for x in xs):
+        d = math.lcm(*(x.denominator for x in xs))
+        return [x.numerator * (d // x.denominator) for x in xs], d
+    dens = dict.fromkeys(x.den for x in xs if isinstance(x, RatFuncEps))
     d = PolyEps(1)
     for den in dens:
         if den != d:
@@ -68,7 +71,15 @@ def _split(a):
             return d * x
         return x.num * scale[x.den] if x.den in scale else x.num
 
-    return [[num(x) for x in row] for row in a.rows], d
+    return [num(x) for x in xs], d
+
+
+def _split(a):
+    """Write the matrix a as P/d with one common denominator d: P is a
+    list of rows of ints or of PolyEps (see `_common`)."""
+    n = a.n
+    p, d = _common(list(a.entries()))
+    return [p[i : i + n] for i in range(0, n * n, n)], d
 
 
 def _over(num, den):
@@ -354,13 +365,17 @@ def frob_sq(a):
     return _over(sum(x * x for row in p for x in row), d * d)
 
 
-def _gram_is(p, dd):
-    """P^T P == dd * I, for P a list of rows."""
+def _preserves(p, dd, g=None):
+    """P^T G P == dd * G for P a list of rows and G = diag(g), or G = I
+    when g is None: with dd = d^2 this is the isometry test on a = P/d,
+    and it needs no division."""
     cols = list(zip(*p))
-    for i, ci in enumerate(cols):
+    gcols = cols if g is None else [[gk * x for gk, x in zip(g, c)] for c in cols]
+    for i, gi in enumerate(gcols):
+        target = dd if g is None else g[i] * dd
         for j in range(i, len(cols)):
-            s = sum(x * y for x, y in zip(ci, cols[j]))
-            if (s != dd) if i == j else s:
+            s = sum(x * y for x, y in zip(gi, cols[j]))
+            if (s != target) if i == j else s:
                 return False
     return True
 
@@ -368,7 +383,7 @@ def _gram_is(p, dd):
 def is_orthogonal(a):
     """A^T A == I, tested as P^T P == d^2 I for a = P/d."""
     p, d = _split(a)
-    return _gram_is(p, d * d)
+    return _preserves(p, d * d)
 
 
 def mat_to_json(a):

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import format_elem, parse_elem, parse_rat, square_class
-from .linalg import Mat, Vec, det
+from .field import RatFuncEps, format_elem, parse_elem, parse_rat, square_class
+from .linalg import Mat, Vec, _preserves, _split, det
 
 __all__ = [
     "BilinearSpace",
@@ -64,10 +64,6 @@ class BilinearSpace:
     @property
     def is_identity_form(self):
         return all(x == 1 for x in self.d)
-
-    @property
-    def gram(self):
-        return Mat.diag(self.d)
 
     @property
     def det_b(self):
@@ -114,20 +110,33 @@ class BilinearSpace:
 
 
 class Isometry:
-    """A matrix m with m^T G m = G for the space's Gram matrix G; det is
-    +1 or -1 (`is_rotation` when +1).  The public constructor validates
-    both exactly.  Quadspace's own operations yield isometries by
-    construction and carry det by multiplicativity."""
+    """A matrix m with m^T G m = G for the Gram matrix G = diag(sp.d); det is
+    +1 or -1 (`is_rotation` when +1).  Quadspace's own operations yield
+    isometries by construction and carry det by multiplicativity.
+
+    The public constructor validates both exactly.  With m = P/d over one
+    common denominator, the form test is P^T G P == d^2 G on the
+    unreduced P.  Once it holds, det(m)^2 det(G) = det(G), so det(m) is
+    +1 or -1, and it is read off at e = 0: column j gives
+    sum_k g_k m_kj^2 = g_j with every g_k > 0, so no entry of m is
+    infinite and no reduced denominator vanishes at e = 0.  Evaluation
+    at e = 0 is a ring map on the elements of Q(e) without a pole there,
+    hence det(m) = det(m at e = 0), the determinant of a rational
+    matrix; the constructor still checks that it is +1 or -1.
+    """
 
     __slots__ = ("sp", "m", "det")
 
     def __init__(self, sp, m):
         if m.n != sp.n:
             raise ValueError(f"dimension mismatch: {sp.n} vs {m.n}")
-        g = sp.gram
-        if m.T @ g @ m != g:
+        p, den = _split(m)
+        if not _preserves(p, den * den, None if sp.is_identity_form else sp.d):
             raise ValueError("matrix does not preserve the form")
-        d = det(m)
+        at_zero = [
+            [x.evaluate(0) if isinstance(x, RatFuncEps) else x for x in row] for row in m.rows
+        ]
+        d = det(Mat(at_zero))
         if d != 1 and d != -1:
             raise ArithmeticError("isometry determinant must be +1 or -1")
         self.sp = sp

@@ -9,13 +9,25 @@ which is equivalent to the pointwise condition on unit vectors:
 frob_sq(I - sigma) = sum_i frob_sq(e_i - sigma e_i), and
 frob_sq((I - sigma) x) <= frob_sq(I - sigma) * frob_sq(x), so the
 squared displacement of every unit vector is infinitesimal exactly when
-the matrix certificate is.  Over Q the criterion degenerates to
-sigma = identity, so N is interesting only in the non-archimedean
-instantiation, where `witnesses` exhibits a rotation inside N (a Cayley
-image of an infinitesimal skew matrix) and a rotation outside it (one
-that moves a basis vector by squared length 4 or more).  N is closed
-under products, inverses and conjugation; `closure_suite` checks this
-on samples and reports every certificate.
+the matrix certificate is.  The certificate is computed by the trace
+identity
+
+    frob_sq(I - sigma) = tr((I - sigma)^T (I - sigma))
+                       = n - 2 tr(sigma) + tr(sigma^T sigma)
+                       = 2 (n - tr(sigma)),
+
+which holds because sigma^T sigma = I for an isometry of the identity
+form (checked where the isometry was made).  So only the diagonal of
+sigma is read: with its entries written over one common denominator d
+as P_ii/d, the certificate is 2 (n d - sum_i P_ii) / d, reduced once.
+
+Over Q the criterion degenerates to sigma = identity, so N is
+interesting only in the non-archimedean instantiation, where
+`witnesses` exhibits a rotation inside N (a Cayley image of an
+infinitesimal skew matrix) and a rotation outside it (one that moves a
+basis vector by squared length 4 or more).  N is closed under products,
+inverses and conjugation; `closure_suite` checks this on samples and
+reports every certificate.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from fractions import Fraction
 
 from .cayley import infinitesimal_rotation
 from .field import eps_order, format_elem, is_infinitesimal
-from .linalg import Mat, Vec, frob_sq
+from .linalg import Mat, Vec, _common, _over
 from .quadspace import Isometry, compose, reflect
 
 __all__ = [
@@ -60,13 +72,21 @@ def _require_identity_form(sp):
 
 
 def in_n(sp, iso):
-    """Decide membership of a rotation in N over the identity form."""
+    """Decide membership of a rotation in N over the identity form.
+
+    The certificate frob_sq(I - sigma) is computed as 2 (n - tr sigma),
+    which equals it because sigma^T sigma = I; the diagonal is put over
+    one common denominator d and 2 (n d - sum P_ii) / d is reduced once,
+    giving the same canonical field element.
+    """
     _require_identity_form(sp)
     if not isinstance(iso, Isometry) or iso.sp.d != sp.d:
         raise ValueError("an isometry of this space is required")
     if not iso.is_rotation:
         raise ValueError("rotation (determinant 1) required")
-    cert = frob_sq(Mat.identity(sp.n) - iso.m)
+    n = sp.n
+    p, d = _common([iso.m[i, i] for i in range(n)])
+    cert = _over(2 * (n * d - sum(p)), d)
     return NVerdict(is_infinitesimal(cert), cert, eps_order(cert))
 
 
@@ -91,7 +111,8 @@ def witnesses(sp):
     n = sp.n
     if n < 3:
         raise ValueError("dimension at least 3 required")
-    inside = Isometry(sp, infinitesimal_rotation(contact_generator(n)))
+    # infinitesimal_rotation has checked A^T A = I and det A = 1
+    inside = Isometry._built(sp, infinitesimal_rotation(contact_generator(n)), 1)
     if n % 2:
         outside = Isometry.neg_identity(sp) @ reflect(sp, Vec.basis(n, 0))
     else:

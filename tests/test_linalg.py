@@ -7,11 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+from rotnear.cayley import cayley
 from rotnear.field import RatFuncEps, eps, is_infinitesimal, sign
 from rotnear.linalg import (
     Mat,
     SingularMatrixError,
     Vec,
+    _preserves,
+    _split,
     det,
     frob_sq,
     inverse,
@@ -19,7 +22,8 @@ from rotnear.linalg import (
     mat_from_json,
     mat_to_json,
 )
-from rotnear.sampling import random_ratfunc, random_skew
+from rotnear.quadspace import BilinearSpace, reflect
+from rotnear.sampling import random_ratfunc, random_skew, random_vector
 
 
 def rand_mat(rng, n, bound=3):
@@ -369,3 +373,42 @@ def test_rational_input_gives_rational_results():
         if det(a) != 0:
             assert all(isinstance(x, Fraction) for x in inverse(a).entries())
     assert isinstance(det(Mat.zero(3)), Fraction)
+
+
+def g_isometries(rng, n, g):
+    """Isometries of diag(g) over Q and Q(e): Cayley images of
+    G^-1 S and e G^-1 S for skew S, and reflections along rational and
+    Q(e) vectors."""
+    gi = Mat.diag([1 / x for x in g])
+    out = [cayley(gi @ random_skew(rng, n)), cayley(eps * (gi @ random_skew(rng, n)))]
+    for u in (random_vector(rng, n), Vec([rand_qe_entry(rng) for _ in range(n)])):
+        if any(u):
+            out.append(reflect(BilinearSpace(g), u).m)
+    return out
+
+
+def test_form_test_matches_the_gram_product():
+    rng = random.Random(28)
+    seen = {True: 0, False: 0}
+    for n in range(2, 5):
+        for g in ([Fraction(1)] * n, [Fraction(k) for k in range(1, n + 1)],
+                  [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n)]):
+            gram = Mat.diag(g)
+            samples = [rand_q_mat(rng, n), rand_qe_mat(rng, n)]
+            for m in g_isometries(rng, n, g):
+                samples.append(m)
+                # near-misses: one off-diagonal entry moved, or its sign
+                # flipped, which keeps every column's q-length
+                i, j = rng.sample(range(n), 2)
+                for delta in (Fraction(1, 2), eps, eps**3, -2 * m[i, j]):
+                    rows = [list(r) for r in m.rows]
+                    rows[i][j] = rows[i][j] + delta
+                    samples.append(Mat(rows))
+            for m in samples:
+                p, d = _split(m)
+                expected = m.T @ gram @ m == gram
+                assert _preserves(p, d * d, g) == expected
+                if all(x == 1 for x in g):
+                    assert _preserves(p, d * d) == expected == is_orthogonal(m)
+                seen[expected] += 1
+    assert seen[True] >= 30 and seen[False] >= 90

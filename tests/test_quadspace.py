@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from rotnear.cayley import cayley
 from rotnear.field import eps, square_class
 from rotnear.linalg import Mat, Vec, frob_sq
 from rotnear.quadspace import (
@@ -18,7 +19,7 @@ from rotnear.quadspace import (
     reflect,
     spinor_norm,
 )
-from rotnear.sampling import random_isometry, random_rotation, random_vector
+from rotnear.sampling import random_isometry, random_rotation, random_skew, random_vector
 
 SP2 = BilinearSpace.identity_form(2)
 SP3 = BilinearSpace.identity_form(3)
@@ -266,3 +267,26 @@ def test_certificate_of_moved_vector():
     moved = Vec.basis(3, 1) - sigma.apply(Vec.basis(3, 1))
     assert SP3.q_value(moved) == 4
     assert frob_sq(Mat.identity(3) - sigma.m) == 8
+
+
+def test_qe_isometries_of_determinant_minus_one():
+    # det is read at e = 0; these Q(e) isometries must still give -1
+    rng = random.Random(14)
+    for n in (2, 3, 4, 5):
+        for sp in (BilinearSpace.identity_form(n), BilinearSpace(range(1, n + 1))):
+            gi = Mat.diag([1 / x for x in sp.d])
+            rot = cayley(eps * (gi @ random_skew(rng, n)))
+            assert Isometry(sp, rot).det == 1
+            if n % 2:
+                assert Isometry(sp, -rot).det == -1
+            u = Vec(([eps + rng.randint(-2, 2), 1 / (1 + eps), eps**2] + [1] * n)[:n])
+            r = reflect(sp, u).m
+            assert Isometry(sp, r).det == -1
+            assert Isometry(sp, r @ rot).det == -1
+
+
+def test_non_isometry_with_a_pole_at_zero_is_rejected():
+    for sp in (SP3, BilinearSpace([1, 2, 3])):
+        for m in (Mat.diag([1 / eps, eps, 1]), Mat([[1, 1 / eps, 0], [0, 1, 0], [0, 0, 1]])):
+            with pytest.raises(ValueError, match="does not preserve the form"):
+                Isometry(sp, m)

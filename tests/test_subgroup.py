@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from rotnear.cayley import infinitesimal_rotation
+from rotnear.cayley import cayley, infinitesimal_rotation
 from rotnear.field import eps, eps_order, format_elem, is_infinitesimal
 from rotnear.linalg import Mat, Vec, frob_sq
 from rotnear.quadspace import BilinearSpace, Isometry, reflect
@@ -14,6 +14,7 @@ from rotnear.sampling import (
     random_member,
     random_nonidentity_rotation,
     random_rotation,
+    random_skew,
     random_vector,
 )
 from rotnear.subgroup import closure_suite, contact_generator, in_n, witnesses
@@ -148,3 +149,23 @@ def test_nverdict_invariant():
         v = in_n(SP3, iso)
         assert v.member == is_infinitesimal(v.certificate)
         assert v.certificate == frob_sq(Mat.identity(3) - iso.m)
+
+
+def test_certificate_matches_the_frobenius_oracle():
+    # in_n reads only the diagonal (the trace identity); the oracle forms
+    # I - sigma entry by entry and sums the squares of all its entries.
+    rng = random.Random(36)
+    for n in range(2, 6):
+        sp = BilinearSpace.identity_form(n)
+        images = [Isometry(sp, cayley(eps * random_skew(rng, n))) for _ in range(2)]
+        rots = [random_nonidentity_rotation(sp, rng), random_rotation(sp, rng)]
+        s, t = images
+        cases = images + rots + [s @ t, t @ s, s.inverse(), rots[0] @ s @ rots[0].inverse()]
+        cases.append(rots[0] @ rots[1])
+        for iso in cases:
+            oracle = frob_sq(Mat.identity(n) - iso.m)
+            v = in_n(sp, iso)
+            assert v.certificate == oracle
+            assert format_elem(v.certificate) == format_elem(oracle)
+            assert v.member == is_infinitesimal(oracle)
+            assert v.order_at_zero == eps_order(oracle)
