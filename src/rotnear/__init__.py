@@ -21,7 +21,6 @@ from .cayley import (
 from .field import (
     ElemSyntaxError,
     PolyEps,
-    Rat,
     RatFuncEps,
     SquareClassRep,
     eps,
@@ -79,7 +78,6 @@ __all__ = [
     "NVerdict",
     "NeumannReport",
     "PolyEps",
-    "Rat",
     "RatFuncEps",
     "ReflectionSeq",
     "SingularMatrixError",

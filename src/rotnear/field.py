@@ -9,7 +9,9 @@ of the representation is equality in the field.
 Q(e) is ordered by reading the sign of the lowest-order nonzero
 coefficient.  This is the unique ordering in which e is a positive
 infinitesimal: 0 < e < r for every positive rational r.  `sign`,
-`is_infinitesimal` and `eps_order` decide order questions exactly.
+`is_infinitesimal` and `eps_order` decide order questions exactly; all
+three read `_lowest`, the e-order and sign of an element's lowest-order
+term, which is the one place that tells the element types apart.
 
 The module also canonicalizes square classes, i.e. the multiplicative
 group of the field modulo nonzero squares.  Every nonzero element of
@@ -20,7 +22,12 @@ Q(e) maps to a unique representative of the shape
 found by reducing num/den to the polynomial num*den (they differ by the
 square den^2).  Two elements lie in the same class exactly when their
 representatives are structurally equal; a quotient shape would not be
-canonical, because u/v and u*v always share a class.
+canonical, because u/v and u*v always share a class.  `square_class`
+and `is_square` both read `_square_parts`, which splits num*den into
+its monic squarefree part and its leading coefficient.  Both questions
+read a rational q as the constant q of Q[e], so Q and Q(e) get the same
+answers; `is_square` tests the leading coefficient with `math.isqrt`
+and never factors an integer.
 
 A small text grammar for field elements (used by the CLI and the JSON
 matrix format) is implemented by `parse_elem` / `format_elem`:
@@ -38,12 +45,12 @@ the formatter emits that compact shape.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "Rat",
     "PolyEps",
     "RatFuncEps",
     "SquareClassRep",
@@ -62,8 +69,6 @@ __all__ = [
     "format_rat",
     "ElemSyntaxError",
 ]
-
-Rat = Fraction
 
 MAX_DEGREE = 64  # largest exponent of e the grammar accepts; bounds parsed degrees
 
@@ -120,11 +125,11 @@ class PolyEps:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, PolyEps):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == PolyEps(other).coeffs
-        return NotImplemented
+        if not isinstance(other, PolyEps):  # no call on the common path
+            other = _as_poly(other)
+            if other is None:
+                return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         if len(self.coeffs) <= 1:
@@ -134,15 +139,8 @@ class PolyEps:
     def __neg__(self):
         return PolyEps(tuple(-c for c in self.coeffs))
 
-    def _coerce(self, other):
-        if isinstance(other, PolyEps):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PolyEps(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _as_poly(other)
         if o is None:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
@@ -156,19 +154,19 @@ class PolyEps:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _as_poly(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _as_poly(other)
         if o is None:
             return NotImplemented
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _as_poly(other)
         if o is None:
             return NotImplemented
         if self.is_zero or o.is_zero:
@@ -198,7 +196,7 @@ class PolyEps:
         return out
 
     def __divmod__(self, other):
-        o = self._coerce(other)
+        o = _as_poly(other)
         if o is None:
             return NotImplemented
         if o.is_zero:
@@ -261,11 +259,12 @@ _POLY_ONE = PolyEps(1)
 
 
 def _as_poly(x):
+    """x as a PolyEps if it is a polynomial or a rational, else None."""
     if isinstance(x, PolyEps):
         return x
     if isinstance(x, (int, Fraction)):
         return PolyEps(x)
-    raise TypeError(f"expected a polynomial or rational, got {type(x).__name__}")
+    return None
 
 
 class RatFuncEps:
@@ -280,8 +279,11 @@ class RatFuncEps:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        num = _as_poly(num)
-        den = _as_poly(den)
+        p, q = _as_poly(num), _as_poly(den)
+        if p is None or q is None:
+            bad = num if p is None else den
+            raise TypeError(f"expected a polynomial or rational, got {type(bad).__name__}")
+        num, den = p, q
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
@@ -380,27 +382,6 @@ class RatFuncEps:
             return RatFuncEps(self.den, self.num) ** (-k)
         return RatFuncEps(self.num**k, self.den**k)
 
-    def sign(self):
-        """Sign near 0+: the product of the signs of the lowest-order
-        nonzero coefficients of num and den; 0 iff the element is 0."""
-        if not self:
-            return 0
-        a = self.num.coeffs[self.num.ord0]
-        b = self.den.coeffs[self.den.ord0]
-        return 1 if (a > 0) == (b > 0) else -1
-
-    def is_infinitesimal(self):
-        """True iff |self| < r for every positive rational r (0 included)."""
-        if not self:
-            return True
-        return self.num.ord0 > self.den.ord0
-
-    def eps_order(self):
-        """Order of vanishing at e = 0, or None for the zero element."""
-        if not self:
-            return None
-        return self.num.ord0 - self.den.ord0
-
     def evaluate(self, t):
         """Exact value at e = t; raises ZeroDivisionError at a pole."""
         d = self.den.evaluate(t)
@@ -408,38 +389,23 @@ class RatFuncEps:
             raise ZeroDivisionError(f"pole at e = {t}")
         return self.num.evaluate(t) / d
 
-    def _cmp_sign(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return None
-        return (self - o).sign()
+    def _comparison(test):
+        def compare(self, other):
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            return test(sign(self - o), 0)
 
-    def __lt__(self, other):
-        s = self._cmp_sign(other)
-        if s is None:
-            return NotImplemented
-        return s < 0
+        return compare
 
-    def __le__(self, other):
-        s = self._cmp_sign(other)
-        if s is None:
-            return NotImplemented
-        return s <= 0
-
-    def __gt__(self, other):
-        s = self._cmp_sign(other)
-        if s is None:
-            return NotImplemented
-        return s > 0
-
-    def __ge__(self, other):
-        s = self._cmp_sign(other)
-        if s is None:
-            return NotImplemented
-        return s >= 0
+    __lt__ = _comparison(operator.lt)
+    __le__ = _comparison(operator.le)
+    __gt__ = _comparison(operator.gt)
+    __ge__ = _comparison(operator.ge)
+    del _comparison
 
     def __abs__(self):
-        return -self if self.sign() < 0 else self
+        return -self if sign(self) < 0 else self
 
     def __repr__(self):
         return f"RatFuncEps({format_elem(self)!r})"
@@ -455,33 +421,37 @@ eps = RatFuncEps(PolyEps((0, 1)))
 # order and squares, uniformly over both field instantiations
 
 
+def _lowest(x):
+    """(e-order, sign) of the lowest-order term of a field element, or
+    None for 0.  A nonzero rational is its own lowest term, of order 0."""
+    if isinstance(x, RatFuncEps):
+        if not x:
+            return None
+        i, j = x.num.ord0, x.den.ord0
+        return i - j, 1 if (x.num.coeffs[i] > 0) == (x.den.coeffs[j] > 0) else -1
+    if isinstance(x, (int, Fraction)):
+        return (0, 1 if x > 0 else -1) if x else None
+    raise TypeError(f"not a field element: {type(x).__name__}")
+
+
 def sign(x):
     """Sign of x in its ordered field: -1, 0 or +1."""
-    if isinstance(x, RatFuncEps):
-        return x.sign()
-    if isinstance(x, (int, Fraction)):
-        return (x > 0) - (x < 0)
-    raise TypeError(f"not a field element: {type(x).__name__}")
+    low = _lowest(x)
+    return 0 if low is None else low[1]
 
 
 def is_infinitesimal(x):
     """True iff |x| is below every positive rational.  Zero counts as
     infinitesimal; over Q the predicate degenerates to x == 0."""
-    if isinstance(x, RatFuncEps):
-        return x.is_infinitesimal()
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    raise TypeError(f"not a field element: {type(x).__name__}")
+    low = _lowest(x)
+    return low is None or low[0] > 0
 
 
 def eps_order(x):
     """Order of vanishing at e = 0: None for 0, an integer otherwise
     (0 for any nonzero rational)."""
-    if isinstance(x, RatFuncEps):
-        return x.eps_order()
-    if isinstance(x, (int, Fraction)):
-        return 0 if x != 0 else None
-    raise TypeError(f"not a field element: {type(x).__name__}")
+    low = _lowest(x)
+    return None if low is None else low[0]
 
 
 def squarefree_decomposition(p):
@@ -564,46 +534,42 @@ class SquareClassRep:
         return format_elem(self.rep)
 
 
-def square_class(x):
-    """Canonical square-class representative of a nonzero element."""
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(x, Fraction):
-        if x == 0:
-            raise ValueError("zero has no square class")
-        return SquareClassRep(Fraction(squarefree_int(x.numerator * x.denominator)))
+def _square_parts(x):
+    """(w, c) for a nonzero field element, None for 0: w is the monic
+    squarefree part and c the leading coefficient of num*den, so x lies
+    in the square class of c*w.  A rational is read as a constant of
+    Q[e], with w = 1 and c = x."""
     if isinstance(x, RatFuncEps):
         if not x:
-            raise ValueError("zero has no square class")
-        # x and num*den differ by the square den^2, so the class is the
-        # class of the polynomial num*den: its squarefree monic part
-        # times the squarefree part of its leading coefficient.
+            return None
+        # x and num*den differ by the square den^2
         p = x.num * x.den
-        w = squarefree_part(p)
-        lc = p.lc
-        s = Fraction(squarefree_int(lc.numerator * lc.denominator))
-        return SquareClassRep(_demote(RatFuncEps(w * s)))
+        return squarefree_part(p), p.lc
+    if isinstance(x, (int, Fraction)):
+        return (_POLY_ONE, Fraction(x)) if x else None
     raise TypeError(f"not a field element: {type(x).__name__}")
+
+
+def square_class(x):
+    """Canonical square-class representative of a nonzero element: the
+    monic squarefree part of num*den times the squarefree part of its
+    leading coefficient."""
+    parts = _square_parts(x)
+    if parts is None:
+        raise ValueError("zero has no square class")
+    w, c = parts
+    s = Fraction(squarefree_int(c.numerator * c.denominator))
+    return SquareClassRep(s if w == _POLY_ONE else RatFuncEps(w * s))
 
 
 def is_square(x):
     """True iff x = y*y for some field element y (0 is a square)."""
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(x, Fraction):
-        if x < 0:
-            return False
-        return _is_square_int(x.numerator) and _is_square_int(x.denominator)
-    if isinstance(x, RatFuncEps):
-        if not x:
-            return True
-        return square_class(x).is_trivial
-    raise TypeError(f"not a field element: {type(x).__name__}")
-
-
-def _is_square_int(n):
-    r = math.isqrt(n)
-    return r * r == n
+    parts = _square_parts(x)
+    if parts is None:
+        return True
+    w, c = parts
+    a, b = c.numerator, c.denominator
+    return w == _POLY_ONE and c > 0 and math.isqrt(a) ** 2 == a and math.isqrt(b) ** 2 == b
 
 
 # ---------------------------------------------------------------------------
@@ -747,19 +713,15 @@ class _ElemParser:
         return 1
 
 
-def _demote(rf):
-    """Collapse a rational-valued RatFuncEps to a Fraction."""
-    if isinstance(rf, RatFuncEps) and rf.den == _POLY_ONE and rf.num.degree <= 0:
-        return rf.num.lc
-    return rf
-
-
 def parse_elem(text):
     """Parse a field element; returns a Fraction when the value is
     rational, a RatFuncEps otherwise.  Raises ElemSyntaxError (with the
     offending offset) on bad syntax, ZeroDivisionError on a zero
     denominator."""
-    return _demote(_ElemParser(_tokenize(text)).parse())
+    x = _ElemParser(_tokenize(text)).parse()
+    if x.den == _POLY_ONE and x.num.degree <= 0:
+        return x.num.lc
+    return x
 
 
 def parse_rat(text):

@@ -28,7 +28,7 @@ from .field import (
     sign,
     square_class,
 )
-from .linalg import Mat, Vec, det, frob_sq, inverse, is_orthogonal
+from .linalg import Mat, Vec, det, frob_sq, is_orthogonal
 from .quadspace import (
     BilinearSpace,
     Isometry,
@@ -158,30 +158,23 @@ def check_contact_construction(seed=0, trials=50, dims=(2, 3, 4, 5)):
 
 
 def check_series_identity(seed=0, trials=50, dims=(2, 3, 4, 5), ms=(1, 3, 5, 7, 9)):
-    """(I+eB) D = I + e^m B^m exactly for each odd m, with the
-    truncation gap to the true inverse infinitesimal for m >= 3.
-    Uses the same B samples as the contact construction."""
+    """`neumann_check` for each odd m: (I+eB) D = I + e^m B^m exactly,
+    and the truncation gap to the true inverse is infinitesimal of
+    e-order exactly 2m, since (I+eB)^-1 - D = (-eB)^m (I+eB)^-1 and
+    B^m != 0 for a nonzero real skew B.  Uses the same B samples as the
+    contact construction."""
     failures = _Failures()
     try:
         for t, (n, b) in enumerate(_contact_samples(seed, trials, dims)):
-            i = Mat.identity(n)
-            eb = eps * b
-            inv = inverse(i + eb)
-            d = i
-            term = i
-            k = 0
             for m in ms:
-                while k < m - 1:
-                    term = term @ (-eb)
-                    d = d + term
-                    k += 1
-                if (i + eb) @ d != i + (eps**m) * (b**m):
+                rep = neumann_check(b, m)
+                if not rep.identity_holds:
                     failures.add(f"trial {t}, m={m}: series identity fails")
-                if m >= 3 and not is_infinitesimal(frob_sq(inv - d)):
+                if not rep.gap_infinitesimal:
                     failures.add(f"trial {t}, m={m}: truncation gap not infinitesimal")
-            rep = neumann_check(b, ms[-1])
-            if not (rep.identity_holds and rep.gap_infinitesimal):
-                failures.add(f"trial {t}: neumann_check disagrees at m={ms[-1]}")
+                order = eps_order(rep.gap_sq)
+                if order != 2 * m:
+                    failures.add(f"trial {t}, m={m}: gap order {order} != {2 * m}")
     except _TooManyFailures:
         pass
     return _result(

@@ -1,11 +1,13 @@
 """Field-layer tests: exact arithmetic, the ordering of Q(e), square
 classes, and their algebraic laws."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rotnear.field
 from rotnear.field import (
     PolyEps,
     RatFuncEps,
@@ -19,6 +21,7 @@ from rotnear.field import (
     squarefree_int,
     squarefree_part,
 )
+from rotnear.sampling import random_ratfunc
 
 ONE = Fraction(1)
 
@@ -281,6 +284,61 @@ def test_is_square_iff_trivial_class(x):
 def test_square_class_is_idempotent(x):
     rep = square_class(x).rep
     assert square_class(rep).rep == rep
+
+
+def test_is_square_never_factors_an_integer(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"is_square factored {n}")
+
+    monkeypatch.setattr(rotnear.field, "squarefree_int", refuse)
+    p = 1000000007  # prime: trial division would take ~5*10^8 steps per class
+    assert is_square((1 + eps) ** 2 * p**2)
+    assert not is_square((1 + eps) ** 2 * p)
+    assert not is_square(-((1 + eps) ** 2) * p**2)
+    assert not is_square((1 + eps) * p**2)
+    rng = random.Random(17)
+    for _ in range(40):
+        x = random_ratfunc(rng, 4, nonzero=True)
+        assert is_square(x * x)
+        assert is_square(x * x * p**2)
+        assert not is_square(x * x * eps)
+        assert not is_square(-x * x)
+    for _ in range(40):
+        a, b = rng.randint(10**20, 10**30), rng.randint(1, 10**25)
+        assert is_square(Fraction(a * a, b * b))
+        assert is_square(RatFuncEps(Fraction(a * a, b * b)))
+        assert not is_square(Fraction(a * a + 1, b * b))  # a^2 < a^2+1 < (a+1)^2
+        assert not is_square(Fraction(2 * a * a, b * b))
+        assert not is_square(-Fraction(a * a, b * b))
+
+
+def test_rationals_answer_like_their_constants_in_q_e():
+    rng = random.Random(19)
+    qs = [Fraction(0), Fraction(1), Fraction(-1), Fraction(9, 4), Fraction(-8, 18)]
+    qs += [Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 10**3)) for _ in range(60)]
+    qs += [Fraction(rng.randint(1, 99) ** 2, rng.randint(1, 99) ** 2) for _ in range(20)]
+    for q in qs:
+        r = RatFuncEps(q)
+        for ask in (sign, is_infinitesimal, eps_order, is_square):
+            assert ask(q) == ask(r), (ask.__name__, q)
+            if q.denominator == 1:
+                assert ask(int(q)) == ask(r), (ask.__name__, q)
+        if q:
+            assert square_class(q) == square_class(r)
+            assert isinstance(square_class(r).rep, Fraction)
+        else:
+            for z in (q, r, 0):
+                with pytest.raises(ValueError):
+                    square_class(z)
+
+
+@pytest.mark.parametrize("bad", [None, "1", "", PolyEps((1, 2)), PolyEps()])
+@pytest.mark.parametrize("ask", [sign, is_infinitesimal, eps_order, is_square, square_class])
+def test_order_and_square_questions_reject_non_elements(ask, bad):
+    # the type is checked before any zero shortcut: None, "" and the
+    # zero polynomial are all falsy
+    with pytest.raises(TypeError):
+        ask(bad)
 
 
 # -- hashing consistency ----------------------------------------------------

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from rotnear.cayley import cayley
+from rotnear.cayley import cayley, infinitesimal_rotation
 from rotnear.field import eps, square_class
-from rotnear.linalg import Mat, Vec, frob_sq
+from rotnear.linalg import Mat, Vec, det, frob_sq
 from rotnear.quadspace import (
     BilinearSpace,
     Isometry,
@@ -218,6 +218,35 @@ def test_spinor_norm_homomorphism_on_samples():
         sp = BilinearSpace.identity_form(n)
         s, t = random_rotation(sp, rng), random_rotation(sp, rng)
         assert spinor_norm(sp, s @ t) == spinor_norm(sp, s) * spinor_norm(sp, t)
+
+
+def _zassenhaus_class(sigma):
+    # Zassenhaus (1962): without the eigenvalue -1, the spinor norm is
+    # the class of det((I + sigma)/2); None when that det vanishes
+    h = det(Fraction(1, 2) * (Mat.identity(sigma.n) + sigma))
+    return square_class(h) if h else None
+
+
+def test_spinor_norm_matches_the_zassenhaus_oracle():
+    rng = random.Random(5)
+    agreed = skipped = 0
+    for n in (2, 3, 4, 5):
+        for sp in (BilinearSpace.identity_form(n), BilinearSpace(range(1, n + 1))):
+            for _ in range(38):
+                k = 2 * rng.randint(0, n // 2)
+                iso = compose(sp, [random_vector(rng, n) for _ in range(k)])
+                expected = _zassenhaus_class(iso.m)
+                if expected is None:
+                    skipped += 1
+                    continue
+                assert spinor_norm(sp, iso) == expected, (sp.d, iso.m)
+                agreed += 1
+    assert agreed > 5 * skipped
+    for n in (2, 3, 4):
+        sp = BilinearSpace.identity_form(n)
+        for _ in range(2):
+            a = infinitesimal_rotation(random_skew(rng, n))
+            assert spinor_norm(sp, Isometry(sp, a)) == _zassenhaus_class(a)
 
 
 def test_one_class_reflections_give_trivial_spinor():
