@@ -492,14 +492,18 @@ def squarefree_part(p):
 
 
 def squarefree_int(n):
-    """Squarefree part of a nonzero integer, with its sign, found by
-    trial division (inputs are desk-scale by construction)."""
+    """Squarefree part of a nonzero integer, with its sign.
+
+    Trial division runs only while d^3 <= the remaining cofactor m.  On
+    exit every prime factor of m is at least d > m^(1/3), so m is 1, p,
+    p*q or p^2: a perfect square (1 or p^2) contributes 1 and anything
+    else contributes itself.  The result is exact at O(n^(1/3)) cost."""
     if n == 0:
         raise ValueError("zero has no squarefree part")
     out = -1 if n < 0 else 1
     n = abs(n)
     d = 2
-    while d * d <= n:
+    while d * d * d <= n:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -508,7 +512,7 @@ def squarefree_int(n):
             if e % 2:
                 out *= d
         d += 1 if d == 2 else 2
-    return out * n
+    return out if math.isqrt(n) ** 2 == n else out * n
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,59 @@ formally real field.  A reflection along an anisotropic u is
     x  |->  x - 2 (b(x, u) / q(u)) u,
 
 an involution of determinant -1 fixing the hyperplane orthogonal to u.
+
+No reflection matrix is built in field arithmetic.  The Gram matrix is
+written G = diag(a)/L with integers a_k, and a vector u = U/c over one
+common denominator (`linalg._common`), so that with S = sum a_k U_k^2
+
+    tau_u = (S I - 2 U (a o U)^T) / S,
+
+where a o U is the entrywise product.  `compose` keeps its running
+product as P/d and applies each reflection as the rank-1 update
+P <- S P - 2 (P U)(a o U)^T, d <- d S, reducing each entry once at
+the end.
+
 `decompose` factors any isometry into at most n reflections by
 restoring the basis vectors in index order: while e_i is moved, reflect
-along (sigma e_i - e_i), which sends sigma e_i back to e_i and fixes
-every already-restored e_j.  The spinor norm of an isometry is the
-square class of the product of the q-values over any reflection
-factorization; it does not depend on the factorization chosen, which
-the test suite checks by comparing two distinct factorizations.
+along u = sigma e_i - e_i, which sends sigma e_i back to e_i and fixes
+every already-restored e_j.  Because sigma is an isometry,
+q(u) = 2 d_i (1 - sigma_ii) and u^T G sigma = d_i (e_i - sigma[i, :])^T,
+so with X = I - sigma the step sigma <- tau_u sigma is
+
+    X  <-  X - X[:, i] X[i, :] / X_ii,
+
+one step of Gaussian elimination on X with the diagonal pivot X_ii, in
+which the form cancels.  It runs fraction-free on a scaled copy of X
+(Bareiss: every division exact), so a step costs O(n^2).  X_ii = 0 only where
+column i vanishes (q(u) = 2 d_i X_ii and q is anisotropic), and then
+row i vanishes too: sigma e_i = e_i gives sigma^T G e_i = G e_i, so
+sigma[i, :] = e_i^T.
+
+The spinor norm theta is the square class of the product of the
+q-values over any reflection factorization; it does not depend on the
+factorization chosen.  For an isometry it is read from the Wall form
+(Wall 1959; Zassenhaus 1962, "On the spinor norm") in one
+elimination.  On W = im(sigma - I) the form
+chi((sigma - I)x, (sigma - I)y) = b(x, (sigma - I)y) is well defined
+and nondegenerate, and for any columns J of sigma - I that form a basis
+of W, its Gram matrix is (G (sigma - I))[J, J]; with r = |J|,
+
+    theta(sigma) = class of (-2)^r det((G (sigma - I))[J, J]).
+
+The factor (-2)^r is fixed by one reflection: tau_u - I = -2 u (Gu)^T /
+q(u), whose Wall Gram matrix is the 1 x 1 entry -2 (d_j u_j)^2 / q(u),
+in the class of -q(u)/2 = q(u) / (-2).  With sigma = P/d this is
+A = diag(a)(P - d I) = L d G (sigma - I), so
+
+    theta(sigma) = class of (-2)^r det(A[J, J]) / (L d)^r.
+
+`linalg._bareiss` in its rank-revealing mode returns J as its pivot
+columns, and its last pivot is det(A[J, J]).  By the remark on
+`decompose`, each Schur complement of A on a diagonal pivot is again of
+that shape, for the isometry tau_u sigma, so a zero column is a zero
+row; the first row with a nonzero entry in a pivot column j is then
+row j, and the pivot rows are J in order.  All of this holds for
+improper isometries too, over Q and Q(e) alike.
 """
 
 from __future__ import annotations
@@ -23,7 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import RatFuncEps, format_elem, parse_elem, parse_rat, square_class
-from .linalg import Mat, Vec, _preserves, _split, det
+from .linalg import Mat, Vec, _bareiss, _common, _exact_div, _over, _preserves, _split, det
 
 __all__ = [
     "BilinearSpace",
@@ -219,30 +265,50 @@ class ReflectionSeq:
         return cls(tuple(Vec([parse_elem(s) for s in u]) for u in obj))
 
 
-def reflect(sp, u):
-    """Reflection along the anisotropic vector u, as an Isometry."""
+def _scaled(sp, a, u):
+    """(U, S) for a vector u written as U/c over one common denominator:
+    S = sum a_k U_k^2, so q(u) = S / (L c^2) for the form diag(a)/L.  S
+    vanishes only at u = 0, which has no reflection."""
     sp._check_dim(u)
-    qu = sp.q_value(u)
-    if qu == 0:
+    big_u, _ = _common(Vec(u).entries)
+    s = sum(ak * x * x for ak, x in zip(a, big_u))
+    if not s:
         raise ValueError("reflection vector must be anisotropic (nonzero)")
-    n = sp.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = 2 * sp.d[j] * u[j] * u[i] / qu
-            row.append((Fraction(1) if i == j else Fraction(0)) - x)
-        rows.append(row)
-    return Isometry._built(sp, Mat(rows), -1)
+    return big_u, s
+
+
+def _require_isometry(sp, iso, name):
+    if not isinstance(iso, Isometry) or iso.sp.d != sp.d:
+        raise ValueError(f"{name} requires an isometry of this space")
+
+
+def reflect(sp, u):
+    """Reflection along the anisotropic vector u, as an Isometry:
+    (S I - 2 U (a o U)^T) / S in the notation of the module docstring."""
+    return compose(sp, [u])
 
 
 def compose(sp, rs):
     """Product isometry tau_{u_1}...tau_{u_m} of a reflection sequence
-    (or any iterable of vectors); the empty product is the identity."""
-    acc = Isometry.identity(sp)
+    (or any iterable of vectors); the empty product is the identity.
+
+    The running product is kept as P/d and each reflection enters as
+    the rank-1 update P <- S P - 2 (P U)(a o U)^T, d <- d S; each entry
+    is reduced once, at the end."""
+    a, _ = _common(sp.d)
+    n = sp.n
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = 1
+    k = 0
     for u in rs:
-        acc = acc @ reflect(sp, u)
-    return acc
+        big_u, s = _scaled(sp, a, u)
+        w = [ak * x for ak, x in zip(a, big_u)]
+        for row in p:
+            pu = 2 * sum(x * y for x, y in zip(row, big_u) if y)
+            row[:] = [s * x - pu * wj if pu and wj else s * x for x, wj in zip(row, w)]
+        d = d * s
+        k += 1
+    return Isometry._built(sp, Mat([[_over(x, d) for x in row] for row in p]), (-1) ** k)
 
 
 def decompose(sp, iso):
@@ -253,32 +319,56 @@ def decompose(sp, iso):
     e_i because the form is anisotropic and q(sigma e_i) = q(e_i).
     Guarantees compose(result) == iso exactly, len(result) <= n and
     (-1)^len == det(iso).
+
+    Each step is the rank-1 update of the current isometry as
+    X = I - current = x / (d * prev), one fraction-free (Bareiss) step
+    on x with pivot x_ii; see the module docstring.
     """
-    if not isinstance(iso, Isometry) or iso.sp.d != sp.d:
-        raise ValueError("decompose requires an isometry of this space")
+    _require_isometry(sp, iso, "decompose")
     n = sp.n
-    current = iso.m
+    p, d = _split(iso.m)
+    x = [[(d if i == j else 0) - y for j, y in enumerate(row)] for i, row in enumerate(p)]
+    prev = 1  # the last pivot; Bareiss divides by it from the second on
     vectors = []
     for i in range(n):
-        ei = Vec.basis(n, i)
-        yi = current.col(i)
-        if yi != ei:
-            u = yi - ei
-            r = reflect(sp, u)
-            current = r.m @ current
-            vectors.append(u)
-    if current != Mat.identity(n):
-        raise ArithmeticError("reflection factorization did not terminate")
+        col = [x[k][i] for k in range(i, n)]  # rows above i are restored: 0
+        if not any(col):
+            continue
+        pv = col[0]
+        if not pv:
+            raise ArithmeticError("reflection factorization did not terminate")
+        den = d * prev
+        vectors.append(Vec([_over(0, den)] * i + [_over(-y, den) for y in col]))
+        xi = x[i]
+        for k in range(i + 1, n):
+            xk = x[k]
+            f = xk[i]
+            for j in range(i + 1, n):
+                y = pv * xk[j] - f * xi[j] if f else pv * xk[j]
+                xk[j] = _exact_div(y, prev) if y and len(vectors) > 1 else y
+        prev = pv
     return ReflectionSeq(tuple(vectors))
 
 
 def spinor_norm(sp, obj):
-    """Square class of the product of q(u_i) over a reflection
-    factorization.  Accepts an Isometry (factored via `decompose`), a
-    ReflectionSeq, or an iterable of vectors."""
-    vectors = decompose(sp, obj) if isinstance(obj, Isometry) else obj
+    """Spinor norm: the square class of the product of q(u_i) over a
+    reflection factorization.  Accepts a ReflectionSeq or an iterable of
+    vectors, whose q-values are multiplied, or an Isometry, whose class
+    is read from the Wall form in one elimination (module docstring):
+    (-2)^r det(A[J, J]) / (L d)^r for A = diag(a)(P - d I)."""
+    if isinstance(obj, Isometry):
+        _require_isometry(sp, obj, "spinor_norm")
+        a, big_l = _common(sp.d)
+        p, d = _split(obj.m)
+        wall = [
+            [ai * (y - d if i == j else y) for j, y in enumerate(row)]
+            for i, (ai, row) in enumerate(zip(a, p))
+        ]
+        _, delta, cols = _bareiss(wall, rank=True)
+        r = len(cols)
+        return square_class(_over((-2) ** r * delta, (big_l * d) ** r))
     acc = Fraction(1)
-    for u in vectors:
+    for u in obj:
         qu = sp.q_value(u)
         if qu == 0:
             raise ValueError("reflection vector must be anisotropic")

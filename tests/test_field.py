@@ -226,6 +226,45 @@ def test_squarefree_int():
         squarefree_int(0)
 
 
+def _squarefree_int_by_full_trial_division(n):
+    # reference: divide by every candidate up to sqrt(n)
+    out = -1 if n < 0 else 1
+    n = abs(n)
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            if e % 2:
+                out *= d
+        d += 1 if d == 2 else 2
+    return out * n
+
+
+def test_squarefree_int_matches_full_trial_division():
+    # The cube-root bound leaves a cofactor 1, p, p*q or p^2: products of
+    # large primes exercise each shape, small primes the divided part.
+    sieve = [True] * 40000
+    for i in range(2, 200):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
+    small = [p for p in range(2, 50) if sieve[p]]
+    large = [p for p in range(1000, 40000) if sieve[p]]
+    rng = random.Random(21)
+    cases = [1, -1, 2, -4, 49, 1000, 7919**2, -(7919**3)]
+    for _ in range(60):
+        p, q = rng.sample(large, 2)
+        tail = 1
+        for _ in range(rng.randint(0, 4)):
+            tail *= rng.choice(small)
+        cases += [p * p, p * q, p * p * tail, p * q * tail, p * p * q, p**3 * tail]
+    for n in cases:
+        for m in (n, -n):
+            assert squarefree_int(m) == _squarefree_int_by_full_trial_division(m), m
+
+
 # -- square classes ---------------------------------------------------------
 
 

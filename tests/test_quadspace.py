@@ -319,3 +319,170 @@ def test_non_isometry_with_a_pole_at_zero_is_rejected():
         for m in (Mat.diag([1 / eps, eps, 1]), Mat([[1, 1 / eps, 0], [0, 1, 0], [0, 0, 1]])):
             with pytest.raises(ValueError, match="does not preserve the form"):
                 Isometry(sp, m)
+
+
+def _forms(n):
+    return (BilinearSpace.identity_form(n), BilinearSpace(range(1, n + 1)))
+
+
+def _qe_vector(rng, n):
+    while True:
+        u = Vec([rng.randint(-2, 2) + rng.randint(-1, 1) * eps for _ in range(n)])
+        if any(u):
+            return u
+
+
+def test_wall_route_matches_both_factorization_routes():
+    # The Wall route for an Isometry against the product of q-values over
+    # decompose's vectors and over the generating vectors; improper
+    # isometries (odd counts) included.
+    rng = random.Random(15)
+    nontrivial = improper = 0
+    for n in range(2, 7):
+        for sp in _forms(n):
+            for k in range(0, n + 2):
+                gens = [random_vector(rng, n) for _ in range(k)]
+                iso = compose(sp, gens)
+                got = spinor_norm(sp, iso)
+                assert got == spinor_norm(sp, decompose(sp, iso)), (sp.d, gens)
+                assert got == spinor_norm(sp, gens), (sp.d, gens)
+                nontrivial += not got.is_trivial
+                improper += not iso.is_rotation
+    assert nontrivial > 20 and improper > 20
+    for n in (2, 3, 4):
+        for sp in _forms(n):
+            for k in (1, 2, 3):
+                gens = [_qe_vector(rng, n) for _ in range(k)]
+                if rng.randint(0, 1):
+                    gens.append(random_vector(rng, n))
+                iso = compose(sp, gens)
+                got = spinor_norm(sp, iso)
+                assert got == spinor_norm(sp, decompose(sp, iso)), (sp.d, gens)
+                assert got == spinor_norm(sp, gens), (sp.d, gens)
+    for n in (3, 5):
+        for sp in _forms(n):
+            gi = Mat.diag([1 / x for x in sp.d])
+            sigma = Isometry(sp, -cayley(eps * (gi @ random_skew(rng, n))))
+            assert not sigma.is_rotation
+            assert spinor_norm(sp, sigma) == spinor_norm(sp, decompose(sp, sigma))
+
+
+def test_wall_route_on_a_product_with_a_large_square_cofactor():
+    # Fifteen reflections under diag(1..8): the square-class input has a
+    # squared prime near 2^29 left over from trial division.
+    vs = [
+        [0, -2, 1, -1, 0, -2, -2, 2], [0, 1, 0, 2, 1, 0, 2, 2],
+        [1, -1, 1, 1, 2, 1, -2, -1], [1, 0, -2, 2, -2, 2, 1, -1],
+        [-2, 2, 0, -2, -2, 0, 1, -1], [0, 0, -2, 0, -2, 2, -2, -2],
+        [-2, 1, 2, 1, -1, 1, 0, -1], [1, 0, 2, 1, 2, -2, 2, -1],
+        [0, -2, 2, 0, -2, 1, 0, 1], [-2, -1, 0, 1, -2, 0, -1, 0],
+        [-2, 1, 0, -2, 1, 0, -2, 1], [-2, 2, -1, 0, 0, 0, 1, 2],
+        [2, 0, 2, 2, -2, 2, 2, 1], [1, -1, 2, 1, 1, -2, -1, -2],
+        [1, 0, -2, 0, 0, 1, 2, 2],
+    ]
+    sp = BilinearSpace(range(1, 9))
+    vectors = [Vec(v) for v in vs]
+    iso = compose(sp, vectors)
+    assert not iso.is_rotation
+    assert spinor_norm(sp, iso) == spinor_norm(sp, vectors)
+
+
+def _textbook_reflection(sp, u):
+    # I - 2 u (G u)^T / q(u), entry by entry in field arithmetic
+    n, qu = sp.n, sp.q_value(u)
+    return Mat(
+        [
+            [int(i == j) - 2 * u[i] * sp.d[j] * u[j] / qu for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def test_compose_matches_the_product_of_textbook_reflections():
+    rng = random.Random(16)
+    for n in range(2, 6):
+        for sp in _forms(n):
+            for k in range(0, 2 * n + 1):
+                qe = k and rng.randint(0, 1) and n <= 3
+                gens = [
+                    _qe_vector(rng, n) if qe and i % 2 == 0 else random_vector(rng, n)
+                    for i in range(k)
+                ]
+                expected = Mat.identity(n)
+                for u in gens:
+                    expected = expected @ _textbook_reflection(sp, u)
+                iso = compose(sp, gens)
+                assert iso.m == expected, (sp.d, gens)
+                assert iso.det == (-1) ** k
+                if gens:
+                    assert reflect(sp, gens[0]).m == _textbook_reflection(sp, gens[0])
+
+
+def test_zero_vector_messages():
+    zero = Vec([0, 0, 0])
+    for build in (reflect, lambda sp, u: compose(sp, [Vec([1, 0, 0]), u])):
+        with pytest.raises(ValueError, match=r"^reflection vector must be anisotropic \(nonzero\)$"):
+            build(SP3, zero)
+    with pytest.raises(ValueError, match=r"^reflection vector must be anisotropic$"):
+        spinor_norm(SP3, ReflectionSeq((Vec([1, 0, 0]), zero)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        reflect(SP3, Vec([1, 0]))
+
+
+def test_decompose_and_spinor_outputs_are_pinned():
+    # exact strings of an earlier implementation that built every
+    # reflection matrix and factored through decompose
+    from rotnear.subgroup import contact_generator
+
+    d3, d4 = BilinearSpace([1, 2, 3]), BilinearSpace([1, 2, 3, 4])
+    den = "(8/3+4*e+10/3*e^2+2*e^3+e^4)"
+    cases = [
+        (
+            SP3,
+            compose(SP3, [Vec([1, 2, 2]), Vec([2, -1, 0]), Vec([0, 1, 1])]),
+            [["-82/45", "16/45", "-4/9"], ["0", "-1/41", "-9/41"], ["0", "0", "-2"]],
+            "10",
+        ),
+        (
+            d3,
+            compose(d3, [Vec([1, 1, 0]), Vec([0, 1, -1])]),
+            [["-2/3", "-2/3", "0"], ["0", "-4/5", "4/5"]],
+            "15",
+        ),
+        (
+            d4,
+            compose(d4, [Vec([1, -1, 2, 0]), Vec([0, 1, 1, 1]), Vec([2, 0, -1, 1])]),
+            [
+                ["-326/297", "134/297", "-8/27", "-28/99"],
+                ["0", "-604/815", "348/815", "-468/815"],
+                ["0", "0", "-294/151", "-42/151"],
+            ],
+            "165",
+        ),
+        (
+            d3,
+            compose(d3, [Vec([eps, 1, 0]), Vec([1, 0, 1 + eps])]),
+            [
+                [
+                    f"(-4/3-2*e^2-4*e^3-2*e^4)/{den}",
+                    f"(-4/3*e-4*e^2-2*e^3)/{den}",
+                    "(-2/3-2/3*e)/(4/3+2*e+e^2)",
+                ],
+                [
+                    "0",
+                    "-4/3/(2/3+e^2+2*e^3+e^4)",
+                    "(4/3*e+4/3*e^2)/(2/3+e^2+2*e^3+e^4)",
+                ],
+            ],
+            "8+12*e+10*e^2+6*e^3+3*e^4",
+        ),
+        (
+            SP3,
+            Isometry(SP3, -infinitesimal_rotation(contact_generator(3))),
+            [["-2/(1+e^2)", "-2*e/(1+e^2)", "0"], ["0", "-2", "0"], ["0", "0", "-2"]],
+            "1+e^2",
+        ),
+    ]
+    for sp, iso, vectors, theta in cases:
+        assert decompose(sp, iso).to_json() == vectors
+        assert str(spinor_norm(sp, iso)) == theta
