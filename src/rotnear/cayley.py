@@ -41,10 +41,10 @@ def _cayley_split(a):
     """The Cayley image of a = P/d, unreduced: returns (N, delta, M, sign)
     with cayley(a) = N/delta, M = dI - P and det(dI + P) = sign * delta.
 
-    With I + a = (dI + P)/d and I - a = (dI - P)/d, the image is
-    (dI - P) adj(dI + P) / det(dI + P); fraction-free Gauss-Jordan on
-    dI + P gives its last pivot delta and r = delta (dI + P)^-1, so
-    N = (dI - P) r.
+    The image is (I - a)(I + a)^-1 = 2 (I + a)^-1 - I, and
+    (I + a)^-1 = d (dI + P)^-1.  Fraction-free Gauss-Jordan on dI + P
+    gives its last pivot delta and R = delta (dI + P)^-1, so
+    N = 2d R - delta I, which equals M R exactly.
     """
     p, d = _split(a)
     plus = [[d + x if i == j else x for j, x in enumerate(row)] for i, row in enumerate(p)]
@@ -55,16 +55,20 @@ def _cayley_split(a):
         raise CayleyObstructionError(
             "-1 is an eigenvalue obstruction: I+A is singular"
         ) from exc
-    cols = list(zip(*r))
-    num = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in minus]
+    d2 = 2 * d
+    num = [
+        [d2 * x - delta if i == j else d2 * x for j, x in enumerate(row)]
+        for i, row in enumerate(r)
+    ]
     return num, delta, minus, sign
 
 
 def cayley(a):
     """Apply the Cayley map exactly: with a = P/d over one common
-    denominator, the image is (dI - P) adj(dI + P) / det(dI + P), built
-    by fraction-free elimination and reduced once per entry.  Raises
-    CayleyObstructionError when I + A is singular."""
+    denominator, the image is 2 (I + a)^-1 - I = (2d R - delta I) / delta
+    for R = delta (dI + P)^-1 from one fraction-free Gauss-Jordan
+    elimination, reduced once per entry.  Raises CayleyObstructionError
+    when I + A is singular."""
     num, delta, _, _ = _cayley_split(a)
     return Mat([[_over(x, delta) for x in row] for row in num])
 
@@ -132,7 +136,6 @@ def neumann_check(b, m):
         raise ValueError("m must be an odd positive integer")
     _require_rational_skew(b, nonzero=False)
     n = b.n
-    eb = eps * b
     i = Mat.identity(n)
     # D has no denominator: its coefficient of e^k is the matrix (-B)^k.
     powers = [i]
@@ -141,9 +144,10 @@ def neumann_check(b, m):
     d = Mat(
         [[RatFuncEps(PolyEps([pk[r, c] for pk in powers])) for c in range(n)] for r in range(n)]
     )
-    identity_holds = (i + eb) @ d == i + (eps**m) * (b**m)
+    plus = i + eps * b
+    identity_holds = plus @ d == i + (eps**m) * (b**m)
     # with I + eB = P/c and R = delta P^-1: (I+eB)^-1 - D = (cR - delta D)/delta
-    p, c = _split(i + eb)
+    p, c = _split(plus)
     _, delta, r = _bareiss(p, jordan=True)
     gap = [[c * x - delta * y for x, y in zip(rr, dr)] for rr, dr in zip(r, _split(d)[0])]
     gap_sq = _over(sum(x * x for row in gap for x in row), delta * delta)

@@ -12,10 +12,8 @@ fraction-free elimination on P (forward for `det`, Gauss-Jordan on
 [P | I] for `inverse`), whose every division is exact, so no gcd is
 taken inside the loops; each output entry is reduced to canonical form
 once.  The pivot is the first row with a nonzero entry in the current
-column.  A rank-revealing mode of the same kernel skips a column with
-no pivot and returns the pivot columns (`quadspace.spinor_norm`).  The
-isometry test P^T G P == d^2 G for a diagonal form G (orthogonality
-when G = I) runs on P with no division at all.  Norm
+column.  The isometry test P^T G P == d^2 G for a diagonal form G
+(orthogonality when G = I) runs on P with no division at all.  Norm
 questions are handled entirely through `frob_sq`, the *squared*
 Frobenius norm: every downstream order/infinitesimality statement is
 equivalent to its squared form, which avoids square roots that Q(e)
@@ -99,7 +97,7 @@ def _exact_div(x, y):
     return q
 
 
-def _bareiss(p, jordan=False, rank=False):
+def _bareiss(p, jordan=False):
     """Bareiss's fraction-free elimination on the square matrix p (lists
     of ints or of PolyEps); every division is exact.
 
@@ -107,11 +105,7 @@ def _bareiss(p, jordan=False, rank=False):
     det(p) = sign * delta.  With `jordan`, the elimination is
     Gauss-Jordan on [p | I], which ends at [delta*I | r], so
     r = delta * p^-1; otherwise r is None.  Raises SingularMatrixError
-    with the column that has no pivot, unless `rank` is set: then such a
-    column is skipped, r is the list of pivot columns (a basis of the
-    column space, the first in index order) and delta is the minor of p
-    on the pivot rows and those columns, in elimination order (1 when
-    p = 0).
+    with the column that has no pivot.
     """
     n = len(p)
     if jordan:
@@ -121,31 +115,24 @@ def _bareiss(p, jordan=False, rank=False):
     width = len(m[0])
     sign = 1
     prev = 1
-    cols = []
     for k in range(n):
-        t = len(cols)  # the pivot row of column k, after any swap
-        piv = next((r for r in range(t, n) if m[r][k]), None)
+        piv = next((r for r in range(k, n) if m[r][k]), None)
         if piv is None:
-            if rank:
-                continue
             raise SingularMatrixError(k)
-        if piv != t:
-            m[t], m[piv] = m[piv], m[t]
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        pk = m[t]
+        pk = m[k]
         pv = pk[k]
-        for i in range(n) if jordan else range(t + 1, n):
-            if i == t:
+        for i in range(n) if jordan else range(k + 1, n):
+            if i == k:
                 continue
             ri = m[i]
             f = ri[k]
             for j in range(k + 1, width):
                 x = pv * ri[j] - f * pk[j] if f else pv * ri[j]
-                ri[j] = _exact_div(x, prev) if t and x else x
+                ri[j] = _exact_div(x, prev) if k and x else x
         prev = pv
-        cols.append(k)
-    if rank:
-        return sign, prev, cols
     return sign, prev, [row[n:] for row in m] if jordan else None
 
 
@@ -246,9 +233,6 @@ class Mat:
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
-
-    def col(self, j):
-        return Vec(tuple(r[j] for r in self.rows))
 
     def entries(self):
         for row in self.rows:

@@ -38,38 +38,30 @@ sigma[i, :] = e_i^T.
 
 The spinor norm theta is the square class of the product of the
 q-values over any reflection factorization; it does not depend on the
-factorization chosen.  For an isometry it is read from the Wall form
-(Wall 1959; Zassenhaus 1962, "On the spinor norm") in one
-elimination.  On W = im(sigma - I) the form
-chi((sigma - I)x, (sigma - I)y) = b(x, (sigma - I)y) is well defined
-and nondegenerate, and for any columns J of sigma - I that form a basis
-of W, its Gram matrix is (G (sigma - I))[J, J]; with r = |J|,
+factorization chosen (Zassenhaus 1962, "On the spinor norm").  For an
+isometry it is read off the elimination of `decompose` without building
+a vector.  Write sigma = P/d and the form as diag(a)/L.  The step that
+restores e_i has pivot pv and previous pivot prev (1 at the first
+step), the current X_ii is pv / (d prev), and so
 
-    theta(sigma) = class of (-2)^r det((G (sigma - I))[J, J]).
+    q(u) = 2 (a_i / L) X_ii = 2 a_i pv / (L d prev).
 
-The factor (-2)^r is fixed by one reflection: tau_u - I = -2 u (Gu)^T /
-q(u), whose Wall Gram matrix is the 1 x 1 entry -2 (d_j u_j)^2 / q(u),
-in the class of -q(u)/2 = q(u) / (-2).  With sigma = P/d this is
-A = diag(a)(P - d I) = L d G (sigma - I), so
+Each pivot is the prev of the next step, so the pivots telescope over
+the r steps, and with J the moved indices and delta the last pivot
 
-    theta(sigma) = class of (-2)^r det(A[J, J]) / (L d)^r.
+    theta(sigma) = class of 2^r (prod_{j in J} a_j) delta / (L d)^r.
 
-`linalg._bareiss` in its rank-revealing mode returns J as its pivot
-columns, and its last pivot is det(A[J, J]).  By the remark on
-`decompose`, each Schur complement of A on a diagonal pivot is again of
-that shape, for the isometry tau_u sigma, so a zero column is a zero
-row; the first row with a nonzero entry in a pivot column j is then
-row j, and the pivot rows are J in order.  All of this holds for
-improper isometries too, over Q and Q(e) alike.
+All of this holds for improper isometries too, over Q and Q(e) alike.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import RatFuncEps, format_elem, parse_elem, parse_rat, square_class
-from .linalg import Mat, Vec, _bareiss, _common, _exact_div, _over, _preserves, _split, det
+from .linalg import Mat, Vec, _common, _exact_div, _over, _preserves, _split, det
 
 __all__ = [
     "BilinearSpace",
@@ -311,6 +303,41 @@ def compose(sp, rs):
     return Isometry._built(sp, Mat([[_over(x, d) for x in row] for row in p]), (-1) ** k)
 
 
+def _restore(iso):
+    """The elimination behind `decompose` and `spinor_norm`: with
+    iso.m = P/d, fraction-free (Bareiss) steps on x = dI - P with the
+    diagonal pivots x_ii, in index order, skipping each restored e_i.
+
+    Returns (d, steps, delta): steps holds (i, col, prev) for each moved
+    index i, where col is column i of x from row i down at that step and
+    prev the pivot before it (1 at the first step), so the current
+    I - sigma is x / (d * prev); delta is the last pivot (1 when no
+    index moves).
+    """
+    n = iso.sp.n
+    p, d = _split(iso.m)
+    x = [[(d if i == j else 0) - y for j, y in enumerate(row)] for i, row in enumerate(p)]
+    prev = 1  # the last pivot; Bareiss divides by it from the second step on
+    steps = []
+    for i in range(n):
+        col = [x[k][i] for k in range(i, n)]  # rows above i are restored: 0
+        if not any(col):
+            continue
+        pv = col[0]
+        if not pv:
+            raise ArithmeticError("reflection factorization did not terminate")
+        steps.append((i, col, prev))
+        xi = x[i]
+        for k in range(i + 1, n):
+            xk = x[k]
+            f = xk[i]
+            for j in range(i + 1, n):
+                y = pv * xk[j] - f * xi[j] if f else pv * xk[j]
+                xk[j] = _exact_div(y, prev) if y and len(steps) > 1 else y
+        prev = pv
+    return d, steps, prev
+
+
 def decompose(sp, iso):
     """Factor an isometry into at most n reflections, deterministically.
 
@@ -325,28 +352,11 @@ def decompose(sp, iso):
     on x with pivot x_ii; see the module docstring.
     """
     _require_isometry(sp, iso, "decompose")
-    n = sp.n
-    p, d = _split(iso.m)
-    x = [[(d if i == j else 0) - y for j, y in enumerate(row)] for i, row in enumerate(p)]
-    prev = 1  # the last pivot; Bareiss divides by it from the second on
+    d, steps, _ = _restore(iso)
     vectors = []
-    for i in range(n):
-        col = [x[k][i] for k in range(i, n)]  # rows above i are restored: 0
-        if not any(col):
-            continue
-        pv = col[0]
-        if not pv:
-            raise ArithmeticError("reflection factorization did not terminate")
+    for i, col, prev in steps:
         den = d * prev
         vectors.append(Vec([_over(0, den)] * i + [_over(-y, den) for y in col]))
-        xi = x[i]
-        for k in range(i + 1, n):
-            xk = x[k]
-            f = xk[i]
-            for j in range(i + 1, n):
-                y = pv * xk[j] - f * xi[j] if f else pv * xk[j]
-                xk[j] = _exact_div(y, prev) if y and len(vectors) > 1 else y
-        prev = pv
     return ReflectionSeq(tuple(vectors))
 
 
@@ -354,19 +364,15 @@ def spinor_norm(sp, obj):
     """Spinor norm: the square class of the product of q(u_i) over a
     reflection factorization.  Accepts a ReflectionSeq or an iterable of
     vectors, whose q-values are multiplied, or an Isometry, whose class
-    is read from the Wall form in one elimination (module docstring):
-    (-2)^r det(A[J, J]) / (L d)^r for A = diag(a)(P - d I)."""
+    is read off the elimination of `decompose` without building its
+    vectors (module docstring): 2^r prod_{j in J} a_j delta / (L d)^r."""
     if isinstance(obj, Isometry):
         _require_isometry(sp, obj, "spinor_norm")
         a, big_l = _common(sp.d)
-        p, d = _split(obj.m)
-        wall = [
-            [ai * (y - d if i == j else y) for j, y in enumerate(row)]
-            for i, (ai, row) in enumerate(zip(a, p))
-        ]
-        _, delta, cols = _bareiss(wall, rank=True)
-        r = len(cols)
-        return square_class(_over((-2) ** r * delta, (big_l * d) ** r))
+        d, steps, delta = _restore(obj)
+        r = len(steps)
+        moved = math.prod(a[i] for i, _, _ in steps)
+        return square_class(_over(2**r * moved * delta, (big_l * d) ** r))
     acc = Fraction(1)
     for u in obj:
         qu = sp.q_value(u)

@@ -84,21 +84,18 @@ class CriterionResult:
         }
 
 
-class _Failures(list):
-    def add(self, msg):
-        if len(self) < _MAX_REPORTED_FAILURES:
-            self.append(msg)
-        else:
-            self.append("...")
-            raise _TooManyFailures
-
-
-class _TooManyFailures(Exception):
-    pass
-
-
 def _result(name, details, failures):
-    return CriterionResult(name, not failures, details, list(failures))
+    """Collect the messages the generator `failures` yields, at most
+    _MAX_REPORTED_FAILURES of them; one more is reported as "..." and
+    stops the generator."""
+    reported = []
+    for msg in failures:
+        if len(reported) == _MAX_REPORTED_FAILURES:
+            reported.append("...")
+            failures.close()
+            break
+        reported.append(msg)
+    return CriterionResult(name, not reported, details, reported)
 
 
 def _dims_cycle(dims, count):
@@ -109,23 +106,22 @@ def check_cayley_roundtrip(seed=0, trials=200, dims=(2, 3, 4, 5)):
     """Random rational skew A: cayley(A) is orthogonal with det 1 and
     cayley(cayley(A)) = A, all exactly."""
     rng = random.Random(seed)
-    failures = _Failures()
-    try:
+
+    def failures():
         for t, n in enumerate(_dims_cycle(dims, trials)):
             a = random_skew(rng, n, bound=3)
             q = cayley(a)
             if not is_orthogonal(q):
-                failures.add(f"trial {t}: image not orthogonal")
+                yield f"trial {t}: image not orthogonal"
             if det(q) != 1:
-                failures.add(f"trial {t}: image determinant != 1")
+                yield f"trial {t}: image determinant != 1"
             if cayley(q) != a:
-                failures.add(f"trial {t}: double application is not the identity")
-    except _TooManyFailures:
-        pass
+                yield f"trial {t}: double application is not the identity"
+
     return _result(
         "cayley-roundtrip",
         {"seed": seed, "trials": trials, "dims": list(dims)},
-        failures,
+        failures(),
     )
 
 
@@ -137,23 +133,22 @@ def _contact_samples(seed, trials, dims):
 def check_contact_construction(seed=0, trials=50, dims=(2, 3, 4, 5)):
     """cayley(e*B) is a rotation != +-I whose squared distance from the
     identity is infinitesimal of e-order exactly 2."""
-    failures = _Failures()
-    try:
+
+    def failures():
         for t, (n, b) in enumerate(_contact_samples(seed, trials, dims)):
             try:
                 a = infinitesimal_rotation(b)  # self-checks its guarantees
             except ArithmeticError as exc:
-                failures.add(f"trial {t}: {exc}")
+                yield f"trial {t}: {exc}"
                 continue
             order = eps_order(frob_sq(Mat.identity(n) - a))
             if order != 2:
-                failures.add(f"trial {t}: contact order {order} != 2")
-    except _TooManyFailures:
-        pass
+                yield f"trial {t}: contact order {order} != 2"
+
     return _result(
         "near-identity-construction",
         {"seed": seed, "trials": trials, "dims": list(dims)},
-        failures,
+        failures(),
     )
 
 
@@ -163,24 +158,23 @@ def check_series_identity(seed=0, trials=50, dims=(2, 3, 4, 5), ms=(1, 3, 5, 7, 
     e-order exactly 2m, since (I+eB)^-1 - D = (-eB)^m (I+eB)^-1 and
     B^m != 0 for a nonzero real skew B.  Uses the same B samples as the
     contact construction."""
-    failures = _Failures()
-    try:
+
+    def failures():
         for t, (n, b) in enumerate(_contact_samples(seed, trials, dims)):
             for m in ms:
                 rep = neumann_check(b, m)
                 if not rep.identity_holds:
-                    failures.add(f"trial {t}, m={m}: series identity fails")
+                    yield f"trial {t}, m={m}: series identity fails"
                 if not rep.gap_infinitesimal:
-                    failures.add(f"trial {t}, m={m}: truncation gap not infinitesimal")
+                    yield f"trial {t}, m={m}: truncation gap not infinitesimal"
                 order = eps_order(rep.gap_sq)
                 if order != 2 * m:
-                    failures.add(f"trial {t}, m={m}: gap order {order} != {2 * m}")
-    except _TooManyFailures:
-        pass
+                    yield f"trial {t}, m={m}: gap order {order} != {2 * m}"
+
     return _result(
         "truncated-inverse-identity",
         {"seed": seed, "trials": trials, "dims": list(dims), "ms": list(ms)},
-        failures,
+        failures(),
     )
 
 
@@ -190,8 +184,8 @@ def check_reflection_factorization(seed=0, trials=100, dims=(3, 4, 5, 6)):
     exactly, with length parity matching det, and the spinor norm from
     the generating list equals the one from the factorization."""
     rng = random.Random(seed)
-    failures = _Failures()
-    try:
+
+    def failures():
         for t, n in enumerate(_dims_cycle(dims, trials)):
             sp = BilinearSpace.identity_form(n)
             k = 2 * rng.randint(0, n // 2)
@@ -199,19 +193,18 @@ def check_reflection_factorization(seed=0, trials=100, dims=(3, 4, 5, 6)):
             iso = compose(sp, generators)
             rs = decompose(sp, iso)
             if len(rs) > n:
-                failures.add(f"trial {t}: {len(rs)} reflections > n = {n}")
+                yield f"trial {t}: {len(rs)} reflections > n = {n}"
             if compose(sp, rs) != iso:
-                failures.add(f"trial {t}: factorization does not compose back")
+                yield f"trial {t}: factorization does not compose back"
             if (-1) ** len(rs) != iso.det:
-                failures.add(f"trial {t}: length parity disagrees with det")
+                yield f"trial {t}: length parity disagrees with det"
             if spinor_norm(sp, ReflectionSeq(tuple(generators))) != spinor_norm(sp, rs):
-                failures.add(f"trial {t}: spinor norm depends on the factorization")
-    except _TooManyFailures:
-        pass
+                yield f"trial {t}: spinor norm depends on the factorization"
+
     return _result(
         "reflection-factorization",
         {"seed": seed, "trials": trials, "dims": list(dims)},
-        failures,
+        failures(),
     )
 
 
@@ -219,44 +212,39 @@ def check_spinor_homomorphism(seed=0, pairs=100, dims=(3, 4, 5)):
     """spinor(sigma tau) = spinor(sigma) * spinor(tau) on random pairs;
     and the rotation tau_{(1,0)} tau_{(1,1)} over Q has class 2 != 1."""
     rng = random.Random(seed)
-    failures = _Failures()
-    try:
+
+    def failures():
         for t, n in enumerate(_dims_cycle(dims, pairs)):
             sp = BilinearSpace.identity_form(n)
             s = random_rotation(sp, rng)
             u = random_rotation(sp, rng)
             if spinor_norm(sp, s @ u) != spinor_norm(sp, s) * spinor_norm(sp, u):
-                failures.add(f"pair {t}: homomorphism identity fails")
+                yield f"pair {t}: homomorphism identity fails"
         sp2 = BilinearSpace.identity_form(2)
         rot = reflect(sp2, Vec([1, 0])) @ reflect(sp2, Vec([1, 1]))
         cls = spinor_norm(sp2, rot)
         if cls.rep != Fraction(2):
-            failures.add(f"one-class contrast: expected class 2, got {cls}")
-    except _TooManyFailures:
-        pass
+            yield f"one-class contrast: expected class 2, got {cls}"
+
     return _result(
         "spinor-homomorphism",
         {"seed": seed, "pairs": pairs, "dims": list(dims)},
-        failures,
+        failures(),
     )
 
 
 def check_neg_identity_spinor(dims=(2, 4, 6)):
     """spinor(-identity) equals the square class of det b, for the
     identity form and for diag(1, 2, ..., n)."""
-    failures = _Failures()
-    try:
+
+    def failures():
         for n in dims:
             for d in ([Fraction(1)] * n, [Fraction(k) for k in range(1, n + 1)]):
-                sp = BilinearSpace(d)
-                got, expected = check_neg_identity(sp)
+                got, expected = check_neg_identity(BilinearSpace(d))
                 if got != expected:
-                    failures.add(
-                        f"n={n}, d={d}: spinor(-I) = {got} != class(det b) = {expected}"
-                    )
-    except _TooManyFailures:
-        pass
-    return _result("neg-identity-determinant", {"dims": list(dims)}, failures)
+                    yield f"n={n}, d={d}: spinor(-I) = {got} != class(det b) = {expected}"
+
+    return _result("neg-identity-determinant", {"dims": list(dims)}, failures())
 
 
 def check_subgroup_witnesses(seed=0, dims=(3, 4, 5), samples=6, conjugators=3):
@@ -264,63 +252,57 @@ def check_subgroup_witnesses(seed=0, dims=(3, 4, 5), samples=6, conjugators=3):
     outside non-member with rational certificate >= 4; closure of the
     subgroup on sampled products, inverses and conjugates."""
     rng = random.Random(seed)
-    failures = _Failures()
-    checks = 0
-    try:
+    details = {
+        "seed": seed,
+        "dims": list(dims),
+        "samples": samples,
+        "conjugators": conjugators,
+        "closure_checks": 0,
+    }
+
+    def failures():
         for n in dims:
             sp = BilinearSpace.identity_form(n)
             inside, outside = witnesses(sp)
             vi = in_n(sp, inside)
             vo = in_n(sp, outside)
             if not vi.member or vi.order_at_zero != 2:
-                failures.add(f"n={n}: inside witness certificate order != 2")
+                yield f"n={n}: inside witness certificate order != 2"
             if vo.member:
-                failures.add(f"n={n}: outside witness is a member")
+                yield f"n={n}: outside witness is a member"
             if not isinstance(vo.certificate, Fraction) or vo.certificate < 4:
-                failures.add(f"n={n}: outside certificate {vo.certificate} < 4")
+                yield f"n={n}: outside certificate {vo.certificate} < 4"
         sp = BilinearSpace.identity_form(dims[0])
         members = [random_member(sp, rng) for _ in range(samples)]
         rotations = [random_nonidentity_rotation(sp, rng) for _ in range(conjugators)]
         records = closure_suite(sp, members, rotations)
-        checks = len(records)
+        details["closure_checks"] = len(records)
         for rec in records:
             if not rec.passed:
-                failures.add(f"closure check failed: {rec.check}")
-    except _TooManyFailures:
-        pass
-    return _result(
-        "normal-subgroup-witnesses",
-        {
-            "seed": seed,
-            "dims": list(dims),
-            "samples": samples,
-            "conjugators": conjugators,
-            "closure_checks": checks,
-        },
-        failures,
-    )
+                yield f"closure check failed: {rec.check}"
+
+    return _result("normal-subgroup-witnesses", details, failures())
 
 
 def check_archimedean_degeneration(seed=0, trials=50, dims=(3, 4, 5)):
     """Over Q, membership in N holds exactly for the identity."""
     rng = random.Random(seed)
-    failures = _Failures()
-    try:
+
+    def failures():
         sp0 = BilinearSpace.identity_form(dims[0])
         v = in_n(sp0, Isometry.identity(sp0))
         if not v.member or v.certificate != 0:
-            failures.add("identity rotation should be a member with certificate 0")
+            yield "identity rotation should be a member with certificate 0"
         for t, n in enumerate(_dims_cycle(dims, trials)):
             sp = BilinearSpace.identity_form(n)
             iso = random_nonidentity_rotation(sp, rng)
             if in_n(sp, iso).member:
-                failures.add(f"trial {t}: non-identity rational rotation admitted")
-    except _TooManyFailures:
-        pass
+                yield f"trial {t}: non-identity rational rotation admitted"
+
     return _result(
         "archimedean-degeneration",
         {"seed": seed, "trials": trials, "dims": list(dims)},
-        failures,
+        failures(),
     )
 
 
@@ -368,36 +350,35 @@ def check_field_oracle(seed=0, trials=500, max_deg=6):
     """Square-class identities on random elements of Q(e), plus
     agreement of sign/is_infinitesimal with the numeric probes."""
     rng = random.Random(seed)
-    failures = _Failures()
     special = [RatFuncEps(0), eps, 1 + eps, -eps, 1 / eps]
-    try:
+
+    def failures():
         for t in range(trials):
             x = random_ratfunc(rng, max_deg, nonzero=True)
             y = random_ratfunc(rng, max_deg, nonzero=True)
             if not is_square(x * x):
-                failures.add(f"trial {t}: x^2 not recognized as a square")
+                yield f"trial {t}: x^2 not recognized as a square"
             if is_square(x * x * eps):
-                failures.add(f"trial {t}: x^2*e claimed to be a square")
+                yield f"trial {t}: x^2*e claimed to be a square"
             if square_class(x * y * y) != square_class(x):
-                failures.add(f"trial {t}: class(x*y^2) != class(x)")
+                yield f"trial {t}: class(x*y^2) != class(x)"
             probes = (special[t],) if t < len(special) else (x, x * eps)
             for z in probes:
                 try:
                     probed_sign = numeric_sign_probe(z)
                     probed_decay = numeric_decay_probe(z)
                 except ArithmeticError as exc:
-                    failures.add(f"trial {t}: probe failed: {exc}")
+                    yield f"trial {t}: probe failed: {exc}"
                     continue
                 if probed_sign != sign(z):
-                    failures.add(f"trial {t}: sign disagrees with the probe")
+                    yield f"trial {t}: sign disagrees with the probe"
                 if probed_decay != is_infinitesimal(z):
-                    failures.add(f"trial {t}: infinitesimality disagrees with probe")
-    except _TooManyFailures:
-        pass
+                    yield f"trial {t}: infinitesimality disagrees with probe"
+
     return _result(
         "field-oracle-agreement",
         {"seed": seed, "trials": trials, "max_deg": max_deg},
-        failures,
+        failures(),
     )
 
 

@@ -117,3 +117,21 @@ def test_field_oracle_reports_probe_errors_as_failures(monkeypatch):
     assert not result.passed
     assert result.failures[0] == "trial 0: probe failed: probe signs did not stabilize"
     assert len(result.failures) == 3
+
+
+def test_reported_failures_are_capped(monkeypatch):
+    # every trial fails once: eight messages are kept, the ninth becomes
+    # "..." and the checker stops there
+    import rotnear.selftest as selftest
+
+    calls = []
+
+    def never_orthogonal(q):
+        calls.append(q)
+        return False
+
+    monkeypatch.setattr(selftest, "is_orthogonal", never_orthogonal)
+    result = selftest.check_cayley_roundtrip(seed=SEED, trials=20, dims=(2, 3))
+    assert not result.passed
+    assert result.failures == [f"trial {t}: image not orthogonal" for t in range(8)] + ["..."]
+    assert len(calls) == 9

@@ -3,6 +3,7 @@ near-identity construction, and the truncated-series identity."""
 
 import importlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -43,6 +44,30 @@ def test_cayley_obstruction():
         cayley(-Mat.identity(2))
     with pytest.raises(CayleyObstructionError):
         cayley(Mat.diag([-1, 1, 1]))
+
+
+def test_cayley_matches_the_textbook_product():
+    # (I - a) @ inverse(I + a), on skew and non-skew matrices over Q and
+    # Q(e); a singular I + a (row 0 of a set to -e_0) is the obstruction.
+    rng = random.Random(26)
+    checked = 0
+    for n in range(1, 6):
+        i = Mat.identity(n)
+        for _ in range(4):
+            skew = random_skew(rng, n) if n > 1 else Mat.zero(1)
+            general = Mat(
+                [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                 for _ in range(n)]
+            )
+            for a in (skew, general, eps * skew, general + eps * skew):
+                if det(i + a) != 0:
+                    assert cayley(a) == (i - a) @ inverse(i + a)
+                    checked += 1
+                rows = [list(r) for r in a.rows]
+                rows[0] = [-1] + [0] * (n - 1)
+                with pytest.raises(CayleyObstructionError):
+                    cayley(Mat(rows))
+    assert checked > 70
 
 
 def test_skew_maps_to_special_orthogonal_on_samples():

@@ -8,12 +8,11 @@ from fractions import Fraction
 import pytest
 
 from rotnear.cayley import cayley
-from rotnear.field import PolyEps, RatFuncEps, eps, is_infinitesimal, sign
+from rotnear.field import RatFuncEps, eps, is_infinitesimal, sign
 from rotnear.linalg import (
     Mat,
     SingularMatrixError,
     Vec,
-    _bareiss,
     _preserves,
     _split,
     det,
@@ -293,48 +292,6 @@ def test_det_of_a_rank_deficient_matrix_is_zero():
         b = Mat(rows)
         assert leibniz_det(b) == 0
         assert det(b) == 0
-
-
-def test_rank_mode_returns_the_first_column_basis():
-    # Pivot columns: column k is one exactly when it is independent of the
-    # pivot columns before it.  The last pivot is a nonzero maximal minor
-    # of P on those columns, and a full-rank P gives the ordinary result.
-    def elem(x):
-        return RatFuncEps(x) if isinstance(x, PolyEps) else Fraction(x)
-
-    def minors(p, rows, cols):
-        for rs in itertools.combinations(rows, len(cols)):
-            yield leibniz_det(Mat([[elem(p[i][j]) for j in cols] for i in rs]))
-
-    rng = random.Random(24)
-    deficient = 0
-    for a in kernel_samples(24):
-        rows = [list(r) for r in a.rows]
-        if a.n > 1 and rng.randint(0, 2):
-            k = rng.randrange(1, a.n)
-            c = rand_qe_entry(rng)
-            for r in rows:  # column k := c * column k-1
-                r[k] = c * r[k - 1]
-        p, _ = _split(Mat(rows))
-        n = len(p)
-        sign_, delta, cols = _bareiss(p, rank=True)
-        basis = []
-        for k in range(n):
-            if any(m != 0 for m in minors(p, range(n), basis + [k])):
-                basis.append(k)
-        assert cols == basis
-        if cols:
-            assert elem(delta) != 0
-            assert any(elem(delta) in (m, -m) for m in minors(p, range(n), cols))
-        if len(cols) == n:
-            assert (sign_, delta) == _bareiss(p)[:2]
-        else:
-            deficient += 1
-    assert deficient > 5
-    # a column without a pivot leaves its row free for the next column
-    assert _bareiss([[0, 1], [0, 0]], rank=True)[1:] == (1, [1])
-    assert _bareiss([[0, 2, 1], [0, 4, 3], [0, 0, 0]], rank=True)[1:] == (2, [1, 2])
-    assert _bareiss([[0, 0], [0, 0]], rank=True)[1:] == (1, [])
 
 
 def test_inverse_is_a_two_sided_inverse():

@@ -367,6 +367,43 @@ def test_wall_route_matches_both_factorization_routes():
             assert spinor_norm(sp, sigma) == spinor_norm(sp, decompose(sp, sigma))
 
 
+def test_spinor_norm_of_isometries_fixing_leading_basis_vectors():
+    # Generating vectors with leading zeros give an isometry that fixes
+    # e_0 (and e_1), so the elimination skips those indices; also the
+    # identity and -I.
+    rng = random.Random(16)
+
+    def lead_zero(u, z):
+        return Vec([0] * z + list(u)[z:])
+
+    nontrivial = 0
+    for n in range(2, 7):
+        for sp in _forms(n):
+            for z in {1, min(2, n - 1)}:
+                for k in range(1, n + 1):
+                    gens = []
+                    while len(gens) < k:
+                        u = lead_zero(random_vector(rng, n), z)
+                        if any(u):
+                            gens.append(u)
+                    if n <= 4 and k <= 2:
+                        gens[0] = lead_zero(_qe_vector(rng, n), z)
+                        if not any(gens[0]):
+                            gens[0] = Vec.basis(n, n - 1)
+                    iso = compose(sp, gens)
+                    assert iso.apply(Vec.basis(n, 0)) == Vec.basis(n, 0)
+                    got = spinor_norm(sp, iso)
+                    assert got == spinor_norm(sp, gens), (sp.d, gens)
+                    nontrivial += not got.is_trivial
+            ident = Isometry.identity(sp)
+            assert spinor_norm(sp, ident) == spinor_norm(sp, [])
+            assert spinor_norm(sp, ident).is_trivial
+            neg = Isometry.neg_identity(sp)
+            basis = [Vec.basis(n, i) for i in range(n)]
+            assert spinor_norm(sp, neg) == spinor_norm(sp, basis)
+    assert nontrivial > 30
+
+
 def test_wall_route_on_a_product_with_a_large_square_cofactor():
     # Fifteen reflections under diag(1..8): the square-class input has a
     # squared prime near 2^29 left over from trial division.
