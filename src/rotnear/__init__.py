@@ -23,6 +23,7 @@ from .field import (
     PolyEps,
     RatFuncEps,
     SquareClassRep,
+    SquarefreeBoundError,
     eps,
     eps_order,
     format_elem,
@@ -82,6 +83,7 @@ __all__ = [
     "ReflectionSeq",
     "SingularMatrixError",
     "SquareClassRep",
+    "SquarefreeBoundError",
     "Vec",
     "cayley",
     "check_neg_identity",

@@ -146,9 +146,12 @@ def neumann_check(b, m):
     )
     plus = i + eps * b
     identity_holds = plus @ d == i + (eps**m) * (b**m)
-    # with I + eB = P/c and R = delta P^-1: (I+eB)^-1 - D = (cR - delta D)/delta
+    # with I + eB = P/c, R = delta P^-1 and D = Q/f:
+    # (I+eB)^-1 - D = (cf R - delta Q)/(delta f)
     p, c = _split(plus)
+    q, f = _split(d)
     _, delta, r = _bareiss(p, jordan=True)
-    gap = [[c * x - delta * y for x, y in zip(rr, dr)] for rr, dr in zip(r, _split(d)[0])]
-    gap_sq = _over(sum(x * x for row in gap for x in row), delta * delta)
+    cf = c * f
+    gap = [[cf * x - delta * y for x, y in zip(rr, qr)] for rr, qr in zip(r, q)]
+    gap_sq = _over(sum(x * x for row in gap for x in row), (delta * f) ** 2)
     return NeumannReport(m, d, identity_holds, gap_sq, is_infinitesimal(gap_sq))

@@ -16,7 +16,7 @@ import json
 import sys
 
 from .cayley import CayleyObstructionError, cayley, is_skew, neumann_check
-from .field import MAX_DEGREE, ElemSyntaxError, format_elem
+from .field import MAX_DEGREE, ElemSyntaxError, SquarefreeBoundError, format_elem
 from .linalg import is_orthogonal, mat_from_json, mat_to_json
 from .quadspace import BilinearSpace, Isometry, decompose, spinor_norm
 from .selftest import run_all
@@ -116,7 +116,10 @@ def cmd_spinor(args):
     m = _load_matrix(args.matrix)
     sp = _load_space(args.form, m.n)
     iso = _as_isometry(sp, m)
-    _emit(str(spinor_norm(sp, iso)))
+    try:
+        _emit(str(spinor_norm(sp, iso)))
+    except SquarefreeBoundError as exc:
+        raise InputError(str(exc)) from exc
     return 0
 
 

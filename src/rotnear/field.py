@@ -6,6 +6,14 @@ a `RatFuncEps`: a quotient num/den of `PolyEps` polynomials kept in a
 canonical form (den monic, gcd(num, den) = 1), so structural equality
 of the representation is equality in the field.
 
+A `PolyEps` coefficient is an int exactly when it is integral and a
+Fraction otherwise.  An int equals and hashes like the Fraction it
+stands for, so the rule changes no comparison, hash or printed form;
+it lets polynomials over Z[e] (the fraction-free kernels of `linalg`)
+run on plain ints.  Public rational values (`parse_elem`, `evaluate`)
+stay Fractions.  `PolyEps.gcd` runs the primitive polynomial remainder
+sequence over Z and makes only its result monic.
+
 Q(e) is ordered by reading the sign of the lowest-order nonzero
 coefficient.  This is the unique ordering in which e is a positive
 infinitesimal: 0 < e < r for every positive rational r.  `sign`,
@@ -63,6 +71,7 @@ __all__ = [
     "squarefree_part",
     "squarefree_decomposition",
     "squarefree_int",
+    "SquarefreeBoundError",
     "parse_elem",
     "format_elem",
     "parse_rat",
@@ -73,20 +82,63 @@ __all__ = [
 MAX_DEGREE = 64  # largest exponent of e the grammar accepts; bounds parsed degrees
 
 
-def _as_fraction(x):
+def _coeff(x):
+    """The exact rational x as an int when it is integral, else a Fraction."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _div(a, b):
+    """a / b for exact rationals; two ints give an int when b divides a
+    and a Fraction otherwise, never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
+def _primitive(cs):
+    """The coefficients cs of a polynomial over Q scaled to a primitive
+    list of ints: denominators cleared, content divided out (the zero
+    polynomial gives [])."""
+    den = math.lcm(*(c.denominator for c in cs))
+    if den != 1:
+        cs = [c.numerator * (den // c.denominator) for c in cs]
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g != 1 else list(cs)
+
+
+def _prem(a, b):
+    """A pseudo-remainder of the int lists a by b (deg a >= deg b, b
+    nonzero): lc(b)^k a mod b for some k >= 0, computed in Z[e]."""
+    lcb, db = b[-1], len(b) - 1
+    r = list(a)
+    while len(r) > db:
+        c = r.pop()
+        shift = len(r) - db
+        q, m = divmod(c, lcb)
+        if m:  # scale by lc(b) only where the quotient term is not integral
+            r = [lcb * x for x in r]
+            q = c
+        for i, bi in enumerate(b[:-1]):
+            r[shift + i] -= q * bi
+        while r and not r[-1]:
+            r.pop()
+    return r
 
 
 class PolyEps:
     """Polynomial in e with rational coefficients, lowest power first.
 
-    `coeffs[k]` is the coefficient of e^k.  The highest-index
-    coefficient is nonzero; the zero polynomial has an empty tuple.
-    Instances are immutable and hashable.
+    `coeffs[k]` is the coefficient of e^k: an int when it is integral,
+    a Fraction otherwise (the constructor normalizes).  The
+    highest-index coefficient is nonzero; the zero polynomial has an
+    empty tuple.  Instances are immutable and hashable.  Division never
+    forms int / int: an exact quotient stays an int.  `gcd` works on
+    primitive integer remainders.
     """
 
     __slots__ = ("coeffs",)
@@ -94,7 +146,7 @@ class PolyEps:
     def __init__(self, coeffs=()):
         if isinstance(coeffs, (int, Fraction)):
             coeffs = (coeffs,)
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _coeff(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -111,7 +163,7 @@ class PolyEps:
     @property
     def lc(self):
         """Leading coefficient (0 for the zero polynomial)."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coeffs[-1] if self.coeffs else 0
 
     @property
     def ord0(self):
@@ -133,7 +185,7 @@ class PolyEps:
 
     def __hash__(self):
         if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else Fraction(0))
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     def __neg__(self):
@@ -171,7 +223,7 @@ class PolyEps:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return _POLY_ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -205,11 +257,11 @@ class PolyEps:
             return _POLY_ZERO, self
         db, lcb = o.degree, o.lc
         rem = list(self.coeffs)
-        quo = [Fraction(0)] * (len(rem) - db)
+        quo = [0] * (len(rem) - db)
         for k in reversed(range(len(quo))):
             c = rem[k + db]
             if c:
-                c = c / lcb
+                c = _div(c, lcb)
                 quo[k] = c
                 for i, bi in enumerate(o.coeffs):
                     rem[k + i] -= c * bi
@@ -227,14 +279,14 @@ class PolyEps:
     def monic(self):
         if self.is_zero:
             raise ZeroDivisionError("the zero polynomial has no monic form")
-        if self.lc == 1:
+        lc = self.lc
+        if lc == 1:
             return self
-        inv = Fraction(1) / self.lc
-        return PolyEps(tuple(c * inv for c in self.coeffs))
+        return PolyEps([_div(c, lc) for c in self.coeffs])
 
     def evaluate(self, t):
         """Value at e = t, computed with exact rational arithmetic."""
-        t = _as_fraction(t)
+        t = _coeff(t)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * t + c
@@ -242,10 +294,17 @@ class PolyEps:
 
     @staticmethod
     def gcd(a, b):
-        """Monic greatest common divisor (0 if both arguments are 0)."""
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic() if not a.is_zero else _POLY_ZERO
+        """Monic greatest common divisor (0 if both arguments are 0), by
+        the primitive polynomial remainder sequence over Z: both inputs
+        are scaled to primitive int lists, each pseudo-remainder is
+        replaced by its primitive part, and the last nonzero term is made
+        monic (Collins 1967; Brown and Traub 1971)."""
+        a, b = _primitive(a.coeffs), _primitive(b.coeffs)
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            a, b = b, _primitive(_prem(a, b))
+        return PolyEps(a).monic() if a else _POLY_ZERO
 
     def __repr__(self):
         return f"PolyEps({_format_poly(self)!r})"
@@ -491,19 +550,38 @@ def squarefree_part(p):
     return out
 
 
+class SquarefreeBoundError(ValueError):
+    """The squarefree part of an integer would need a trial divisor
+    above the bound 2^22 of `squarefree_int`."""
+
+
+_TRIAL_BOUND = 1 << 22  # largest trial divisor of squarefree_int
+
+
 def squarefree_int(n):
     """Squarefree part of a nonzero integer, with its sign.
 
     Trial division runs only while d^3 <= the remaining cofactor m.  On
     exit every prime factor of m is at least d > m^(1/3), so m is 1, p,
     p*q or p^2: a perfect square (1 or p^2) contributes 1 and anything
-    else contributes itself.  The result is exact at O(n^(1/3)) cost."""
+    else contributes itself.  The result is exact at O(n^(1/3)) cost.
+
+    The divisors stop at 2^22, about 2*10^6 odd trial divisions: when
+    the cofactor still has d^3 <= m there, SquarefreeBoundError is
+    raised (the CLI exits 2 with its message).  Every |n| below 2^66
+    stays within the bound, and so does any n whose cofactor after
+    removing the primes below 2^22 is under 2^66."""
     if n == 0:
         raise ValueError("zero has no squarefree part")
     out = -1 if n < 0 else 1
     n = abs(n)
     d = 2
     while d * d * d <= n:
+        if d > _TRIAL_BOUND:
+            raise SquarefreeBoundError(
+                f"square class of an integer with a {n.bit_length()}-bit cofactor "
+                "needs trial divisors above the bound 2^22"
+            )
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -691,7 +769,7 @@ class _ElemParser:
             raise ElemSyntaxError("expected a rational or 'e'", t[2])
         if neg:
             coeff = -coeff
-        return PolyEps([Fraction(0)] * k + [coeff])
+        return PolyEps([0] * k + [coeff])
 
     def _rat_tail(self):
         t = self.expect("num", "digits")
@@ -724,7 +802,7 @@ def parse_elem(text):
     denominator."""
     x = _ElemParser(_tokenize(text)).parse()
     if x.den == _POLY_ONE and x.num.degree <= 0:
-        return x.num.lc
+        return Fraction(x.num.lc)
     return x
 
 
@@ -737,9 +815,9 @@ def parse_rat(text):
 
 
 def format_rat(q):
-    q = _as_fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
+    q = _coeff(q)
+    if type(q) is int:
+        return str(q)
     return f"{q.numerator}/{q.denominator}"
 
 

@@ -6,18 +6,19 @@ Vectors and square matrices hold Fractions and/or RatFuncEps entries
 Products, determinants, inverses, norms and the orthogonality test work
 on a matrix written as P/d with one common denominator: P is an integer
 matrix and d the lcm of the entry denominators when every entry is
-rational, and otherwise P is a polynomial matrix over Q[e] and d the lcm
-of the monic denominators.  `det` and `inverse` run Bareiss's
+rational, and otherwise P is a polynomial matrix over Z[e] and d in
+Z[e] the lcm of the monic denominators, both multiplied once by the lcm
+of their coefficient denominators.  `det` and `inverse` run Bareiss's
 fraction-free elimination on P (forward for `det`, Gauss-Jordan on
-[P | I] for `inverse`), whose every division is exact, so no gcd is
-taken inside the loops; each output entry is reduced to canonical form
-once.  The pivot is the first row with a nonzero entry in the current
-column.  The isometry test P^T G P == d^2 G for a diagonal form G
-(orthogonality when G = I) runs on P with no division at all.  Norm
-questions are handled entirely through `frob_sq`, the *squared*
-Frobenius norm: every downstream order/infinitesimality statement is
-equivalent to its squared form, which avoids square roots that Q(e)
-does not have.
+[P | I] for `inverse`), whose every division is exact and stays in
+Z[e], so no gcd and no Fraction is taken inside the loops; each output
+entry is reduced to canonical form once.  The pivot is the first row
+with a nonzero entry in the current column.  The isometry test
+P^T G P == d^2 G for a diagonal form G (orthogonality when G = I) runs
+on P with no division at all.  Norm questions are handled entirely
+through `frob_sq`, the *squared* Frobenius norm: every downstream
+order/infinitesimality statement is equivalent to its squared form,
+which avoids square roots that Q(e) does not have.
 """
 
 from __future__ import annotations
@@ -52,9 +53,11 @@ def _common(xs):
     """Write the field elements xs as P/d with one common denominator d.
 
     All-rational xs give int numerators and the int lcm d of the
-    denominators.  Otherwise the numerators are PolyEps and d is the
-    monic lcm of the RatFuncEps denominators (rationals are constants of
-    Q[e]).
+    denominators.  Otherwise the numerators and d are PolyEps over Z[e]:
+    the monic lcm of the RatFuncEps denominators (rationals are constants
+    of Q[e]) puts xs over one denominator in Q[e], and numerators and
+    denominator are then multiplied by the lcm of all their coefficient
+    denominators.
     """
     if all(isinstance(x, Fraction) for x in xs):
         d = math.lcm(*(x.denominator for x in xs))
@@ -71,7 +74,12 @@ def _common(xs):
             return d * x
         return x.num * scale[x.den] if x.den in scale else x.num
 
-    return [num(x) for x in xs], d
+    nums = [num(x) for x in xs]
+    c = math.lcm(*(k.denominator for p in nums + [d] for k in p.coeffs))
+    if c != 1:
+        nums = [p * c for p in nums]
+        d = d * c
+    return nums, d
 
 
 def _split(a):
@@ -84,7 +92,7 @@ def _split(a):
 
 def _over(num, den):
     """The canonical field element num/den: a Fraction over Z, a RatFuncEps
-    over Q[e]."""
+    over Z[e] or Q[e]."""
     if isinstance(den, int):
         return Fraction(num, den)
     return RatFuncEps(num, den)

@@ -29,6 +29,8 @@ __all__ = [
 
 def random_skew(rng, n, bound=3):
     """Nonzero skew-symmetric matrix with integer entries in [-bound, bound]."""
+    if n < 2 or bound < 1:  # only the zero matrix: the redraw loop would never end
+        raise ValueError("a nonzero skew-symmetric sample needs n >= 2 and bound >= 1")
     while True:
         rows = [[Fraction(0)] * n for _ in range(n)]
         nonzero = False
@@ -44,6 +46,8 @@ def random_skew(rng, n, bound=3):
 
 def random_vector(rng, n, bound=2):
     """Nonzero integer vector with entries in [-bound, bound]."""
+    if n < 1 or bound < 1:
+        raise ValueError("a nonzero vector sample needs n >= 1 and bound >= 1")
     while True:
         entries = [Fraction(rng.randint(-bound, bound)) for _ in range(n)]
         if any(entries):
@@ -78,6 +82,8 @@ def random_member(sp, rng, bound=3):
 
 def random_poly(rng, max_deg, bound=9, nonzero=False):
     """Polynomial with integer coefficients in [-bound, bound]."""
+    if nonzero and bound < 1:
+        raise ValueError("a nonzero polynomial sample needs bound >= 1")
     while True:
         deg = rng.randint(0, max_deg)
         p = PolyEps([rng.randint(-bound, bound) for _ in range(deg + 1)])

@@ -208,3 +208,16 @@ def test_neumann_report_matches_the_field_arithmetic_route():
                 d = d + term
             assert rep.d == d
             assert rep.gap_sq == frob_sq(inverse(i + eps * b) - d)
+
+
+def test_neumann_gap_with_rational_series_coefficients():
+    # a skew B with fractional entries gives D rational coefficients, so
+    # D's common denominator over Z[e] is not 1
+    rng = random.Random(32)
+    for n in (2, 3, 4):
+        b = random_skew(rng, n) * Fraction(rng.randint(1, 5), rng.randint(2, 7))
+        for m in (1, 3, 5):
+            rep = neumann_check(b, m)
+            i = Mat.identity(n)
+            assert rep.identity_holds
+            assert rep.gap_sq == frob_sq(inverse(i + eps * b) - rep.d)

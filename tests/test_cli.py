@@ -1,6 +1,7 @@
 """CLI tests: subcommands, JSON output, exit codes, and determinism."""
 
 import json
+import time
 
 from rotnear.cli import main
 from rotnear.field import parse_elem
@@ -234,3 +235,18 @@ def test_stdin_roundtrip(tmp_path, capsys, monkeypatch):
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, ["cayley", "/nonexistent/m.json"])
     assert code == 2
+
+
+def test_spinor_above_the_trial_bound_exits_2(tmp_path, capsys):
+    # the Cayley image of [[0, x], [-x, 0]] has class input about x^2 with
+    # large prime factors: refused at the bound, not factored for hours
+    x = str(10**30 + 57)
+    skew = {"n": 2, "entries": [["0", x], ["-" + x, "0"]]}
+    code, out, _ = run(capsys, ["cayley", write(tmp_path, "s.json", skew)])
+    assert code == 0
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["spinor", write(tmp_path, "r.json", json.loads(out))])
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "2^22" in err and "Traceback" not in err
+    assert elapsed < 5.0, elapsed

@@ -11,17 +11,21 @@ import rotnear.field
 from rotnear.field import (
     PolyEps,
     RatFuncEps,
+    SquarefreeBoundError,
     eps,
     eps_order,
     is_infinitesimal,
     is_square,
+    parse_elem,
+    parse_rat,
     sign,
     square_class,
     squarefree_decomposition,
     squarefree_int,
     squarefree_part,
 )
-from rotnear.sampling import random_ratfunc
+from rotnear.linalg import Mat, det, frob_sq
+from rotnear.sampling import random_poly, random_ratfunc
 
 ONE = Fraction(1)
 
@@ -263,6 +267,149 @@ def test_squarefree_int_matches_full_trial_division():
     for n in cases:
         for m in (n, -n):
             assert squarefree_int(m) == _squarefree_int_by_full_trial_division(m), m
+
+
+def test_squarefree_int_stops_at_its_trial_bound():
+    # the class input of the Cayley image of [[0, x], [-x, 0]] is 1 + x^2,
+    # whose cofactor after the small primes has no factor below 2^22
+    x = 10**30 + 57
+    with pytest.raises(SquarefreeBoundError, match=r"2\^22"):
+        squarefree_int(1 + x * x)
+    assert issubclass(SquarefreeBoundError, ValueError)
+    # below 2^66 the cube-root bound never passes 2^22: products of two
+    # primes above 2^31 are still decided by the isqrt test on the cofactor
+    p, q, r = 4294967311, 4294967357, 2147483659  # primes
+    assert squarefree_int(p * q) == p * q
+    assert squarefree_int(-3 * r * r) == -3
+    assert squarefree_int(2**70 * 3 * r * r) == 3  # small primes are divided out first
+
+
+# -- integer coefficients and the primitive-remainder gcd ---------------------
+
+
+def _euclidean_gcd(a, b):
+    # the remainder sequence over Q that PolyEps.gcd used before it ran on
+    # primitive integer remainders, kept as an oracle
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic() if not a.is_zero else PolyEps()
+
+
+def _rational_poly(rng, max_deg):
+    return PolyEps(
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(0, max_deg) + 1)]
+    )
+
+
+def _gcd_pairs(count=320):
+    rng = random.Random(1967)
+    pairs = [(PolyEps(), PolyEps()), (PolyEps(), PolyEps((2, 4))), (PolyEps((0, 3)), PolyEps())]
+    for k in range(count):
+        kind = k % 8
+        if kind == 0:  # planted common factor, integer coefficients
+            g = random_poly(rng, 3, nonzero=True)
+            pairs.append((g * random_poly(rng, 4), g * random_poly(rng, 4)))
+        elif kind == 1:  # planted factor, rational coefficients
+            g = _rational_poly(rng, 3)
+            pairs.append((g * _rational_poly(rng, 4), g * _rational_poly(rng, 4)))
+        elif kind == 2:  # repeated factors
+            g = random_poly(rng, 2, nonzero=True)
+            pairs.append((g**3 * random_poly(rng, 2), g**2 * _rational_poly(rng, 3)))
+        elif kind == 3:  # constants against polynomials
+            c = PolyEps(Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1)))
+            pairs.append((c, _rational_poly(rng, 5)) if k % 16 < 8 else (_rational_poly(rng, 5), c))
+        elif kind == 4:  # zero on either side
+            p = _rational_poly(rng, 5)
+            pairs.append((PolyEps(), p) if k % 16 < 8 else (p, PolyEps()))
+        elif kind == 5:  # equal inputs, up to a rational scale
+            p = _rational_poly(rng, 6)
+            pairs.append((p, p) if k % 16 < 8 else (p, p * Fraction(-3, 7)))
+        elif kind == 6:  # large leading coefficients, high degree
+            g = PolyEps([rng.randint(-(10**6), 10**6) for _ in range(4)] + [rng.randint(1, 10**6)])
+            pairs.append((g * random_poly(rng, 8), g * random_poly(rng, 8)))
+        else:  # unrelated random pairs
+            pairs.append((_rational_poly(rng, 7), _rational_poly(rng, 7)))
+    return pairs
+
+
+def test_gcd_matches_the_euclidean_gcd_over_q():
+    pairs = _gcd_pairs()
+    assert len(pairs) >= 300
+    for a, b in pairs:
+        g = PolyEps.gcd(a, b)
+        assert g == _euclidean_gcd(a, b), (a, b)
+        assert g == PolyEps.gcd(b, a)
+        if g:
+            assert g.lc == 1
+            assert a % g == PolyEps() and b % g == PolyEps()
+
+
+def test_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    e = sympy.Symbol("e")
+
+    def to_sympy(p):
+        return sympy.Poly(
+            [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)] or [0],
+            e,
+            domain="QQ",
+        )
+
+    for a, b in _gcd_pairs():
+        want = sympy.gcd(to_sympy(a), to_sympy(b))
+        if not want.is_zero:
+            want = want.monic()
+        got = [Fraction(int(c.p), int(c.q)) for c in reversed(want.all_coeffs())]
+        assert PolyEps(got) == PolyEps.gcd(a, b), (a, b)
+
+
+def _follows_coefficient_rule(x):
+    if isinstance(x, RatFuncEps):
+        return _follows_coefficient_rule(x.num) and _follows_coefficient_rule(x.den)
+    return all((type(c) is int) == (c.denominator == 1) for c in x.coeffs)
+
+
+def test_polynomial_coefficients_are_ints_exactly_when_integral():
+    rng = random.Random(8)
+    for _ in range(200):
+        a = _rational_poly(rng, 5) * rng.choice((1, 6, 60))
+        b = _rational_poly(rng, 4) * rng.choice((1, 6, 60))
+        results = [a + b, a - b, a * b, -a, a.derivative(), PolyEps.gcd(a, b)]
+        if b:
+            results += [*divmod(a, b), a // b, a % b, b.monic(), squarefree_part(b * b * a or b)]
+        for r in results:
+            assert _follows_coefficient_rule(r), r
+    assert PolyEps((Fraction(4, 2), Fraction(1, 2), True)).coeffs == (2, Fraction(1, 2), 1)
+    assert all(type(c) is int for c in PolyEps((Fraction(4, 2), True)).coeffs)
+    for text in ("(2-4*e)/(2+2*e)", "3/6*e^2", "(1+e)/(3-e)", "4*e-2/3"):
+        assert _follows_coefficient_rule(parse_elem(text)), text
+    with pytest.raises(TypeError):
+        PolyEps((1.5,))
+
+
+def test_integral_division_never_yields_a_float():
+    q, r = divmod(PolyEps((1, 0, 3)), PolyEps((0, 2)))
+    assert q == PolyEps((0, Fraction(3, 2))) and r == PolyEps((1,))
+    assert type(q.coeffs[1]) is Fraction
+    assert PolyEps((4, 6)) // PolyEps((2,)) == PolyEps((2, 3))
+    assert all(type(c) is int for c in (PolyEps((4, 6)) // PolyEps((2,))).coeffs)
+    assert PolyEps((2, 3)).monic().coeffs == (Fraction(2, 3), 1)
+
+
+def test_public_rationals_stay_fractions():
+    for text in ("3", "0", "-7", "6/3"):
+        assert type(parse_elem(text)) is Fraction
+        assert type(parse_rat(text)) is Fraction
+    assert type(RatFuncEps(PolyEps((2, 4)), PolyEps((1, 2))).evaluate(5)) is Fraction
+    assert type((1 + eps).evaluate(0)) is Fraction
+    m = Mat([[2, Fraction(1, 2)], [0, 4]])
+    assert all(type(x) is Fraction for x in m.entries())
+    assert type(det(m)) is Fraction and type(frob_sq(m)) is Fraction
+    assert type(square_class(Fraction(8)).rep) is Fraction
+    assert type(square_class(RatFuncEps(PolyEps((8,)))).rep) is Fraction
+    assert hash(RatFuncEps(3)) == hash(Fraction(3))
+    assert hash(PolyEps((3,))) == hash(Fraction(3))
+    assert hash(PolyEps((1, 2))) == hash((Fraction(1), Fraction(2)))
 
 
 # -- square classes ---------------------------------------------------------

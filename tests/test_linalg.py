@@ -8,11 +8,13 @@ from fractions import Fraction
 import pytest
 
 from rotnear.cayley import cayley
-from rotnear.field import RatFuncEps, eps, is_infinitesimal, sign
+from rotnear.field import PolyEps, RatFuncEps, eps, is_infinitesimal, sign
 from rotnear.linalg import (
     Mat,
     SingularMatrixError,
     Vec,
+    _common,
+    _over,
     _preserves,
     _split,
     det,
@@ -412,3 +414,22 @@ def test_form_test_matches_the_gram_product():
                     assert _preserves(p, d * d) == expected == is_orthogonal(m)
                 seen[expected] += 1
     assert seen[True] >= 30 and seen[False] >= 90
+
+
+def test_common_denominator_over_qe_is_in_z_of_e():
+    # P and d come back with int coefficients, and P_i / d is x_i again
+    rng = random.Random(44)
+    cases = [
+        [Fraction(1, 2), Fraction(-3, 4) * eps, (1 + eps) / (3 - 2 * eps)],
+        [RatFuncEps(PolyEps((Fraction(1, 3), Fraction(5, 7))))],
+        [Fraction(2, 3), (Fraction(2, 5) + eps**2) / (Fraction(1, 3) - eps), Fraction(0)],
+    ]
+    for _ in range(60):
+        xs = [random_ratfunc(rng, 4, 9) * Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 9))]
+        cases.append(xs + [Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+    for xs in cases:
+        p, d = _common(xs)
+        assert isinstance(d, PolyEps) and d
+        for poly in p + [d]:
+            assert all(type(c) is int for c in poly.coeffs), poly
+        assert [_over(pi, d) for pi in p] == xs
