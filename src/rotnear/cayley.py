@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import PolyEps, RatFuncEps, eps, is_infinitesimal
-from .linalg import Mat, SingularMatrixError, _bareiss, _over, _preserves, _split
+from .field import PolyEps, eps, is_infinitesimal
+from .linalg import Mat, SingularMatrixError, _bareiss, _canonical, _matmul, _over, _preserves
 
 __all__ = [
     "CayleyObstructionError",
@@ -46,7 +46,7 @@ def _cayley_split(a):
     gives its last pivot delta and R = delta (dI + P)^-1, so
     N = 2d R - delta I, which equals M R exactly.
     """
-    p, d = _split(a)
+    p, d = a._p, a._d
     plus = [[d + x if i == j else x for j, x in enumerate(row)] for i, row in enumerate(p)]
     minus = [[d - x if i == j else -x for j, x in enumerate(row)] for i, row in enumerate(p)]
     try:
@@ -64,13 +64,13 @@ def _cayley_split(a):
 
 
 def cayley(a):
-    """Apply the Cayley map exactly: with a = P/d over one common
-    denominator, the image is 2 (I + a)^-1 - I = (2d R - delta I) / delta
-    for R = delta (dI + P)^-1 from one fraction-free Gauss-Jordan
-    elimination, reduced once per entry.  Raises CayleyObstructionError
-    when I + A is singular."""
+    """Apply the Cayley map exactly: with a = P/d its canonical pair, the
+    image is 2 (I + a)^-1 - I = (2d R - delta I) / delta for
+    R = delta (dI + P)^-1 from one fraction-free Gauss-Jordan
+    elimination, canonicalized once as a pair.  Raises
+    CayleyObstructionError when I + A is singular."""
     num, delta, _, _ = _cayley_split(a)
-    return Mat([[_over(x, delta) for x in row] for row in num])
+    return Mat._of(*_canonical(num, delta))
 
 
 def is_skew(a):
@@ -82,15 +82,15 @@ def _require_rational_skew(b, *, nonzero):
         raise ValueError("rational entries required")
     if not is_skew(b):
         raise ValueError("skew-symmetric matrix required")
-    if nonzero and all(x == 0 for x in b.entries()):
+    if nonzero and not any(map(any, b._p)):
         raise ValueError("nonzero matrix required")
 
 
 def infinitesimal_rotation(b):
     """Rotation A = cayley(e*B) over Q(e), for nonzero rational skew B.
 
-    Checked exactly before returning, on A = N/delta before its entries
-    are reduced: A != +-I (N != +-delta I), A^T A = I
+    Checked exactly before returning, on A = N/delta before the pair is
+    canonicalized: A != +-I (N != +-delta I), A^T A = I
     (N^T N = delta^2 I), det A = det(I - eB) / det(I + eB) = 1, and
     frob_sq(I - A) = frob_sq(delta I - N) / delta^2 is infinitesimal.
     """
@@ -115,7 +115,7 @@ def infinitesimal_rotation(b):
     )
     if not ok:
         raise ArithmeticError("near-identity construction failed its guarantees")
-    return Mat([[_over(x, delta) for x in row] for row in num])
+    return Mat._of(*_canonical(num, delta))
 
 
 @dataclass(frozen=True)
@@ -137,19 +137,26 @@ def neumann_check(b, m):
     _require_rational_skew(b, nonzero=False)
     n = b.n
     i = Mat.identity(n)
-    # D has no denominator: its coefficient of e^k is the matrix (-B)^k.
-    powers = [i]
+    # D has no denominator in e: its coefficient of e^k is the matrix
+    # (-B)^k = (-P)^k / t^k for B = P/t, so D = sum_k (-P)^k t^(m-1-k) e^k
+    # over t^(m-1), built on the integer matrices (-P)^k.
+    t = b._d
+    neg = [[-x for x in row] for row in b._p]
+    powers = [i._p]
     for _ in range(m - 1):
-        powers.append(powers[-1] @ -b)
-    d = Mat(
-        [[RatFuncEps(PolyEps([pk[r, c] for pk in powers])) for c in range(n)] for r in range(n)]
-    )
+        powers.append(_matmul(powers[-1], neg))
+    scales = [t ** (m - 1 - k) for k in range(m)]
+    rows = [
+        [PolyEps([s * pk[r][c] for s, pk in zip(scales, powers)]) for c in range(n)]
+        for r in range(n)
+    ]
+    d = Mat._of(*_canonical(rows, t ** (m - 1)))
     plus = i + eps * b
     identity_holds = plus @ d == i + (eps**m) * (b**m)
     # with I + eB = P/c, R = delta P^-1 and D = Q/f:
     # (I+eB)^-1 - D = (cf R - delta Q)/(delta f)
-    p, c = _split(plus)
-    q, f = _split(d)
+    p, c = plus._p, plus._d
+    q, f = d._p, d._d
     _, delta, r = _bareiss(p, jordan=True)
     cf = c * f
     gap = [[cf * x - delta * y for x, y in zip(rr, qr)] for rr, qr in zip(r, q)]

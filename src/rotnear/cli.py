@@ -4,7 +4,9 @@ Subcommands read matrices as JSON ({"n": ..., "entries": [[elem
 strings]]}) from a file argument or stdin ('-'), emit a single JSON
 document on stdout, and report problems on stderr.  Exit codes: 0 on
 success, 1 when a verification check fails, 2 on bad input.  Inputs are
-kept desk-scale: dimension <= 8, exponents of e and neumann --m <= 64.
+kept desk-scale: dimension <= 8 (checked before any entry is parsed),
+exponents of e and neumann --m <= 64, and numbers of at most 4000
+digits.
 All sampling is seeded and the seed is echoed into the report, so
 identical inputs and seed produce byte-identical output.
 """
@@ -49,13 +51,15 @@ def _read_json(path):
 
 
 def _load_matrix(path):
+    obj = _read_json(path)
+    # refuse a large n before any of its n^2 entries is parsed
+    n = obj.get("n") if isinstance(obj, dict) else None
+    if type(n) is int and n > MAX_DIM:
+        raise InputError(f"dimension {n} exceeds the limit {MAX_DIM}")
     try:
-        m = mat_from_json(_read_json(path))
+        return mat_from_json(obj)
     except (ElemSyntaxError, ZeroDivisionError, ValueError, TypeError) as exc:
         raise InputError(str(exc)) from exc
-    if m.n > MAX_DIM:
-        raise InputError(f"dimension {m.n} exceeds the limit {MAX_DIM}")
-    return m
 
 
 def _load_space(path, n):

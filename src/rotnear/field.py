@@ -32,7 +32,12 @@ square den^2).  Two elements lie in the same class exactly when their
 representatives are structurally equal; a quotient shape would not be
 canonical, because u/v and u*v always share a class.  `square_class`
 and `is_square` both read `_square_parts`, which splits num*den into
-its monic squarefree part and its leading coefficient.  Both questions
+its monic squarefree part and its leading coefficient.  No product is
+ever factored: for squarefree a and b the squarefree part of a*b is
+a*b / gcd(a, b)^2, for integers and for monic polynomials alike, so
+`square_class` factors the numerator and the denominator of the
+leading coefficient separately and `SquareClassRep.__mul__` combines
+two representatives with one gcd each.  Both questions
 read a rational q as the constant q of Q[e], so Q and Q(e) get the same
 answers; `is_square` tests the leading coefficient with `math.isqrt`
 and never factors an integer.
@@ -47,7 +52,10 @@ matrix format) is implemented by `parse_elem` / `format_elem`:
 
 Whitespace is insignificant and 'e' denotes the infinitesimal.  A
 single-monomial numerator may omit its parentheses ("8*e^2/(1+e^2)");
-the formatter emits that compact shape.
+the formatter emits that compact shape.  A run of digits is at most
+MAX_DIGITS (4000) long and an exponent of e at most MAX_DEGREE (64);
+longer input is an ElemSyntaxError at its offset, raised before any
+digit is converted.
 """
 
 from __future__ import annotations
@@ -80,6 +88,7 @@ __all__ = [
 ]
 
 MAX_DEGREE = 64  # largest exponent of e the grammar accepts; bounds parsed degrees
+MAX_DIGITS = 4000  # longest digit run the grammar accepts, below Python's own 4300
 
 
 def _coeff(x):
@@ -603,10 +612,24 @@ class SquareClassRep:
 
     rep: object  # Fraction, or RatFuncEps in the Q(e) instantiation
 
+    def _parts(self):
+        """(s, w): the squarefree integer and the monic squarefree
+        polynomial whose product is the representative."""
+        rep = self.rep
+        if isinstance(rep, RatFuncEps):
+            return rep.num.lc, rep.num.monic()
+        return rep.numerator, _POLY_ONE
+
     def __mul__(self, other):
         if not isinstance(other, SquareClassRep):
             return NotImplemented
-        return square_class(self.rep * other.rep)
+        (s, w), (t, v) = self._parts(), other._parts()
+        if w == _POLY_ONE or v == _POLY_ONE:
+            w = w * v
+        else:
+            g = PolyEps.gcd(w, v)
+            w = (w * v) // (g * g)
+        return _class_rep(_squarefree_product(s, t), w)
 
     @property
     def is_trivial(self):
@@ -632,16 +655,28 @@ def _square_parts(x):
     raise TypeError(f"not a field element: {type(x).__name__}")
 
 
+def _squarefree_product(a, b):
+    """The squarefree part of a*b for squarefree integers a and b."""
+    g = math.gcd(a, b)
+    return a * b // (g * g)
+
+
+def _class_rep(s, w):
+    return SquareClassRep(Fraction(s) if w == _POLY_ONE else RatFuncEps(w * s))
+
+
 def square_class(x):
     """Canonical square-class representative of a nonzero element: the
     monic squarefree part of num*den times the squarefree part of its
-    leading coefficient."""
+    leading coefficient p/q, which is that of p*q, found from p and q
+    separately."""
     parts = _square_parts(x)
     if parts is None:
         raise ValueError("zero has no square class")
     w, c = parts
-    s = Fraction(squarefree_int(c.numerator * c.denominator))
-    return SquareClassRep(s if w == _POLY_ONE else RatFuncEps(w * s))
+    return _class_rep(
+        _squarefree_product(squarefree_int(c.numerator), squarefree_int(c.denominator)), w
+    )
 
 
 def is_square(x):
@@ -674,6 +709,10 @@ def _tokenize(text):
     for m in _TOKEN_RE.finditer(text):
         off = m.start()
         if m.group(1) is not None:
+            if len(m.group(1)) > MAX_DIGITS:
+                raise ElemSyntaxError(
+                    f"number with {len(m.group(1))} digits exceeds the limit {MAX_DIGITS}", off
+                )
             tokens.append(("num", m.group(1), off))
         elif m.group(2) is not None:
             tokens.append((m.group(2), m.group(2), off))

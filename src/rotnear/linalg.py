@@ -1,24 +1,34 @@
 """Exact dense linear algebra over the ordered fields of `field`.
 
-Vectors and square matrices hold Fractions and/or RatFuncEps entries
-(ints are promoted to Fractions on construction) and are immutable.
+Vectors hold Fractions and/or RatFuncEps entries (ints are promoted to
+Fractions on construction); vectors and matrices are immutable.
 
-Products, determinants, inverses, norms and the orthogonality test work
-on a matrix written as P/d with one common denominator: P is an integer
-matrix and d the lcm of the entry denominators when every entry is
-rational, and otherwise P is a polynomial matrix over Z[e] and d in
-Z[e] the lcm of the monic denominators, both multiplied once by the lcm
-of their coefficient denominators.  `det` and `inverse` run Bareiss's
-fraction-free elimination on P (forward for `det`, Gauss-Jordan on
-[P | I] for `inverse`), whose every division is exact and stays in
-Z[e], so no gcd and no Fraction is taken inside the loops; each output
-entry is reduced to canonical form once.  The pivot is the first row
-with a nonzero entry in the current column.  The isometry test
-P^T G P == d^2 G for a diagonal form G (orthogonality when G = I) runs
-on P with no division at all.  Norm questions are handled entirely
-through `frob_sq`, the *squared* Frobenius norm: every downstream
-order/infinitesimality statement is equivalent to its squared form,
-which avoids square roots that Q(e) does not have.
+A matrix is held as one fraction-free pair (P, d) with A = P/d: P is an
+n x n matrix of ints and d an int when every entry is rational, and
+otherwise P is a matrix over Z[e] and d in Z[e] (PolyEps with int
+coefficients).  The pair is canonical: gcd(d, all P_ij) = 1 over Z[e],
+content included, lc(d) > 0, and P and d are plain ints whenever they
+are all constant.  So two matrices are equal exactly when their pairs
+are, and equality and hashing read the pair; a Q matrix and a Q(e)
+matrix with the same constant entries are equal and hash equal.
+
+Every kernel works on the pair.  Products, sums and scalar multiples
+form the new pair and divide out one gcd (`_canonical`: a single chain
+that tries exact division before a polynomial gcd and stops at a
+unit); the transpose, the negation and the inverse of an isometry of
+the identity form need no gcd at all.  `det` and `inverse` run
+Bareiss's fraction-free elimination on P (forward for `det`,
+Gauss-Jordan on [P | I] for `inverse`), whose every division is exact
+and stays in Z[e]; the pivot is the first row with a nonzero entry in
+the current column.  The isometry test P^T G P == d^2 G for a diagonal
+form G (orthogonality when G = I) runs on P with no division at all.
+An entry is reduced to its canonical field element P_ij/d only when it
+is read (`m[i, j]`, `rows`, `entries`, `mat_to_json`, `repr`), once per
+instance.  A matrix built from rows keeps those rows as its read view.
+Norm questions are handled entirely through `frob_sq`, the *squared*
+Frobenius norm: every downstream order/infinitesimality statement is
+equivalent to its squared form, which avoids square roots that Q(e)
+does not have.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .field import PolyEps, RatFuncEps, format_elem, parse_elem
+from .field import PolyEps, RatFuncEps, _as_poly, _primitive, format_elem, parse_elem
 
 __all__ = [
     "Vec",
@@ -57,7 +67,10 @@ def _common(xs):
     the monic lcm of the RatFuncEps denominators (rationals are constants
     of Q[e]) puts xs over one denominator in Q[e], and numerators and
     denominator are then multiplied by the lcm of all their coefficient
-    denominators.
+    denominators.  Each prime or irreducible factor of d misses some
+    numerator, so gcd(d, all numerators) = 1 over Z[e], content
+    included, and lc(d) > 0: for the entries of a matrix this is its
+    canonical pair.
     """
     if all(isinstance(x, Fraction) for x in xs):
         d = math.lcm(*(x.denominator for x in xs))
@@ -82,12 +95,61 @@ def _common(xs):
     return nums, d
 
 
-def _split(a):
-    """Write the matrix a as P/d with one common denominator d: P is a
-    list of rows of ints or of PolyEps (see `_common`)."""
-    n = a.n
-    p, d = _common(list(a.entries()))
-    return [p[i : i + n] for i in range(0, n * n, n)], d
+def _shape(flat, d, n):
+    """(P, d) with P as n row tuples of the n*n values flat; P and d become
+    plain ints when all of them are constant."""
+    if type(d) is not int and d.degree == 0 and all(type(x) is int or x.degree < 1 for x in flat):
+        flat = [x if type(x) is int else x.lc for x in flat]
+        d = d.lc
+    return tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n)), d
+
+
+def _canonical(rows, d):
+    """The canonical pair of the matrix rows/d, for rows of ints or PolyEps
+    over Z[e] and d a nonzero int or PolyEps over Z[e]: both divided by
+    their gcd over Z[e], content included, with lc(d) > 0 (see `_shape`).
+
+    Over Z the gcd is one `math.gcd`.  Over Z[e] the content is one
+    `math.gcd` of every coefficient, and the primitive part runs one gcd
+    chain: it starts at g = d, keeps g while g divides an entry exactly,
+    calls `PolyEps.gcd` only where it does not, and stops once g is a
+    unit.  By Gauss's lemma every quotient by the primitive part of g
+    stays in Z[e]."""
+    n = len(rows)
+    flat = [x for row in rows for x in row]
+    if type(d) is int and all(type(x) is int for x in flat):
+        g = math.gcd(d, *flat)
+        if d < 0:
+            g = -g
+        if g != 1:
+            d //= g
+            flat = [x // g for x in flat]
+        return _shape(flat, d, n)
+    d = _as_poly(d)
+    flat = [_as_poly(x) for x in flat]
+    content = math.gcd(*d.coeffs, *(c for x in flat for c in x.coeffs))
+    g = d
+    for x in flat:
+        if g.degree < 1:
+            break
+        if x and x % g:
+            g = PolyEps.gcd(g, x)
+    if g.degree > 0:
+        g = PolyEps(_primitive(g.coeffs))
+        d = d // g
+        flat = [x // g for x in flat]
+    if d.lc < 0:
+        content = -content
+    if content != 1:
+        d = PolyEps([c // content for c in d.coeffs])
+        flat = [PolyEps([c // content for c in x.coeffs]) for x in flat]
+    return _shape(flat, d, n)
+
+
+def _matmul(p, q):
+    """The product of two square matrices given as rows of ints or PolyEps."""
+    cols = tuple(zip(*q))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in p]
 
 
 def _over(num, den):
@@ -207,28 +269,38 @@ class Vec:
 
 
 class Mat:
-    """Immutable square matrix of exact field elements."""
+    """Immutable square matrix of exact field elements, held as its
+    canonical pair (P, d) (module docstring).  `Mat(rows)` keeps the rows
+    it was given as its read view; a computed matrix reduces an entry to
+    P_ij/d on its first read and keeps the result."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("n", "_p", "_d", "_r")
 
     def __init__(self, rows):
-        rs = tuple(tuple(_canon_entry(x) for x in row) for row in rows)
+        rs = [[_canon_entry(x) for x in row] for row in rows]
         n = len(rs)
         if n == 0 or any(len(r) != n for r in rs):
             raise ValueError("square matrix required")
-        self.rows = rs
+        # reduced entries over their lcm denominator already form the
+        # canonical pair: no gcd to take
+        self.n = n
+        self._p, self._d = _shape(*_common([x for r in rs for x in r]), n)
+        self._r = rs
 
-    @property
-    def n(self):
-        return len(self.rows)
+    @classmethod
+    def _of(cls, p, d):
+        """The matrix P/d for a canonical pair: P a tuple of row tuples."""
+        m = object.__new__(cls)
+        m.n, m._p, m._d, m._r = len(p), p, d, None
+        return m
 
     @classmethod
     def identity(cls, n):
-        return cls.diag([Fraction(1)] * n)
+        return cls._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
     @classmethod
     def zero(cls, n):
-        return cls([[Fraction(0)] * n for _ in range(n)])
+        return cls._of(((0,) * n,) * n, 1)
 
     @classmethod
     def diag(cls, ds):
@@ -240,19 +312,32 @@ class Mat:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        r = self._r
+        if r is None:
+            r = self._r = [[None] * self.n for _ in range(self.n)]
+        x = r[i][j]
+        if x is None:
+            x = r[i][j] = _over(self._p[i][j], self._d)
+        return x
+
+    @property
+    def rows(self):
+        n = self.n
+        return tuple(tuple(self[i, j] for j in range(n)) for i in range(n))
 
     def entries(self):
-        for row in self.rows:
-            yield from row
+        n = self.n
+        for i in range(n):
+            for j in range(n):
+                yield self[i, j]
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.n == other.n and self.rows == other.rows
+        return self.n == other.n and self._d == other._d and self._p == other._p
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self._p, self._d))
 
     def _same_n(self, other):
         if self.n != other.n:
@@ -262,48 +347,35 @@ class Mat:
         if not isinstance(other, Mat):
             return NotImplemented
         self._same_n(other)
-        return Mat(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        d, e = self._d, other._d
+        if d == e:
+            rows = [[x + y for x, y in zip(r, s)] for r, s in zip(self._p, other._p)]
+        else:
+            rows = [[x * e + y * d for x, y in zip(r, s)] for r, s in zip(self._p, other._p)]
+            d = d * e
+        return Mat._of(*_canonical(rows, d))
 
     def __sub__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        self._same_n(other)
-        return Mat(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return self + -other
 
     def __neg__(self):
-        return Mat(tuple(tuple(-a for a in row) for row in self.rows))
+        return Mat._of(tuple(tuple(-x for x in row) for row in self._p), self._d)
 
     def __rmul__(self, scalar):
         if not isinstance(scalar, (int, Fraction, RatFuncEps)):
             return NotImplemented
-        return Mat(tuple(tuple(scalar * a for a in row) for row in self.rows))
+        (a,), b = _common([_canon_entry(scalar)])
+        return Mat._of(*_canonical([[a * x for x in row] for row in self._p], b * self._d))
 
     __mul__ = __rmul__
 
     def __matmul__(self, other):
         if isinstance(other, Mat):
-            # P/d @ Q/e = PQ/(de), each entry reduced once
+            # P/d @ Q/e = PQ/(de), with one gcd for the whole matrix
             self._same_n(other)
-            p, d = _split(self)
-            q, e = _split(other)
-            de = d * e
-            cols = tuple(zip(*q))
-            return Mat(
-                tuple(
-                    tuple(_over(sum(a * b for a, b in zip(row, col)), de) for col in cols)
-                    for row in p
-                )
-            )
+            return Mat._of(*_canonical(_matmul(self._p, other._p), self._d * other._d))
         if isinstance(other, Vec):
             if len(other) != self.n:
                 raise ValueError(f"dimension mismatch: {self.n} vs {len(other)}")
@@ -327,7 +399,7 @@ class Mat:
 
     @property
     def T(self):
-        return Mat(tuple(zip(*self.rows)))
+        return Mat._of(tuple(zip(*self._p)), self._d)
 
     def __repr__(self):
         body = ", ".join(
@@ -347,27 +419,25 @@ class SingularMatrixError(ArithmeticError):
 def det(a):
     """Exact determinant: det(P)/d^n for a = P/d, by fraction-free
     elimination."""
-    p, d = _split(a)
     try:
-        sign, delta, _ = _bareiss(p)
+        sign, delta, _ = _bareiss(a._p)
     except SingularMatrixError:
-        return _over(0, d)
-    return _over(delta if sign > 0 else -delta, d**a.n)
+        return _over(0, a._d)
+    return _over(delta if sign > 0 else -delta, a._d**a.n)
 
 
 def inverse(a):
     """Exact inverse d*P^-1 for a = P/d, by fraction-free Gauss-Jordan
     elimination; raises SingularMatrixError (carrying the failing column)
     when singular."""
-    p, d = _split(a)
-    _, delta, r = _bareiss(p, jordan=True)
-    return Mat([[_over(d * x, delta) for x in row] for row in r])
+    d = a._d
+    _, delta, r = _bareiss(a._p, jordan=True)
+    return Mat._of(*_canonical([[d * x for x in row] for row in r], delta))
 
 
 def frob_sq(a):
     """Squared Frobenius norm: the sum of the squares of the entries."""
-    p, d = _split(a)
-    return _over(sum(x * x for row in p for x in row), d * d)
+    return _over(sum(x * x for row in a._p for x in row), a._d * a._d)
 
 
 def _preserves(p, dd, g=None):
@@ -387,8 +457,7 @@ def _preserves(p, dd, g=None):
 
 def is_orthogonal(a):
     """A^T A == I, tested as P^T P == d^2 I for a = P/d."""
-    p, d = _split(a)
-    return _preserves(p, d * d)
+    return _preserves(a._p, a._d * a._d)
 
 
 def mat_to_json(a):

@@ -17,8 +17,9 @@ common denominator (`linalg._common`), so that with S = sum a_k U_k^2
 
 where a o U is the entrywise product.  `compose` keeps its running
 product as P/d and applies each reflection as the rank-1 update
-P <- S P - 2 (P U)(a o U)^T, d <- d S, reducing each entry once at
-the end.
+P <- S P - 2 (P U)(a o U)^T, d <- d S; the result is the matrix of
+that pair, canonicalized once, and its entries are reduced only when
+read.
 
 `decompose` factors any isometry into at most n reflections by
 restoring the basis vectors in index order: while e_i is moved, reflect
@@ -61,7 +62,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import RatFuncEps, format_elem, parse_elem, parse_rat, square_class
-from .linalg import Mat, Vec, _common, _exact_div, _over, _preserves, _split, det
+from .linalg import (
+    Mat, SingularMatrixError, Vec, _bareiss, _canonical, _common, _exact_div, _over, _preserves
+)
 
 __all__ = [
     "BilinearSpace",
@@ -152,15 +155,15 @@ class Isometry:
     +1 or -1 (`is_rotation` when +1).  Quadspace's own operations yield
     isometries by construction and carry det by multiplicativity.
 
-    The public constructor validates both exactly.  With m = P/d over one
-    common denominator, the form test is P^T G P == d^2 G on the
-    unreduced P.  Once it holds, det(m)^2 det(G) = det(G), so det(m) is
-    +1 or -1, and it is read off at e = 0: column j gives
-    sum_k g_k m_kj^2 = g_j with every g_k > 0, so no entry of m is
-    infinite and no reduced denominator vanishes at e = 0.  Evaluation
-    at e = 0 is a ring map on the elements of Q(e) without a pole there,
-    hence det(m) = det(m at e = 0), the determinant of a rational
-    matrix; the constructor still checks that it is +1 or -1.
+    The public constructor validates both exactly, on the canonical pair
+    m = P/d.  The form test is P^T G P == d^2 G, with no division.  Once
+    it holds, det(m)^2 det(G) = det(G), so det(m) is +1 or -1, and it is
+    read off at e = 0: column j gives sum_k g_k P_kj^2 = g_j d^2 with
+    every g_k > 0, so if e divided d it would divide every P_kj too,
+    which the canonical pair rules out.  Hence d(0) != 0, evaluation at
+    e = 0 is a ring map on P/d, and det(m) = det(P(0)) / d(0)^n, the
+    determinant of an integer matrix; the constructor still checks that
+    it is +1 or -1.
     """
 
     __slots__ = ("sp", "m", "det")
@@ -168,18 +171,20 @@ class Isometry:
     def __init__(self, sp, m):
         if m.n != sp.n:
             raise ValueError(f"dimension mismatch: {sp.n} vs {m.n}")
-        p, den = _split(m)
-        if not _preserves(p, den * den, None if sp.is_identity_form else sp.d):
+        p, d = m._p, m._d
+        if not _preserves(p, d * d, None if sp.is_identity_form else sp.d):
             raise ValueError("matrix does not preserve the form")
-        at_zero = [
-            [x.evaluate(0) if isinstance(x, RatFuncEps) else x for x in row] for row in m.rows
-        ]
-        d = det(Mat(at_zero))
-        if d != 1 and d != -1:
+        if type(d) is not int:  # P and d at e = 0
+            p = [[x if type(x) is int else (x.coeffs[0] if x else 0) for x in row] for row in p]
+            d = d.coeffs[0]
+        try:
+            sign, delta, _ = _bareiss(p)
+        except SingularMatrixError:
+            sign = delta = 0
+        det = Fraction(sign * delta, d**m.n)
+        if det not in (1, -1):
             raise ArithmeticError("isometry determinant must be +1 or -1")
-        self.sp = sp
-        self.m = m
-        self.det = 1 if d == 1 else -1
+        self.sp, self.m, self.det = sp, m, int(det)
 
     @classmethod
     def _built(cls, sp, m, det):
@@ -211,14 +216,18 @@ class Isometry:
         return Isometry._built(self.sp, self.m @ other.m, self.det * other.det)
 
     def inverse(self):
-        # G^-1 m^T G for diagonal G: entry (i, j) is m[j][i] d_j / d_i,
-        # left unscaled where d_i = d_j to spare Q(e) entries a gcd.
-        d = self.sp.d
-        inv = [
-            [x if di == dj else x * (dj / di) for x, dj in zip(col, d)]
-            for col, di in zip(zip(*self.m.rows), d)
+        # G^-1 m^T G for G = diag(a)/L: entry (i, j) is P_ji a_j / (a_i d),
+        # which is the canonical pair (P^T, d) when every a_k is equal
+        m = self.m
+        a, _ = _common(self.sp.d)
+        if len(set(a)) == 1:
+            return Isometry._built(self.sp, m.T, self.det)
+        big_a = math.lcm(*a)
+        rows = [
+            [(aj * (big_a // ai)) * x for x, aj in zip(col, a)]
+            for col, ai in zip(zip(*m._p), a)
         ]
-        return Isometry._built(self.sp, Mat(inv), self.det)
+        return Isometry._built(self.sp, Mat._of(*_canonical(rows, m._d * big_a)), self.det)
 
     def __eq__(self, other):
         if not isinstance(other, Isometry):
@@ -263,10 +272,7 @@ def _scaled(sp, a, u):
     vanishes only at u = 0, which has no reflection."""
     sp._check_dim(u)
     big_u, _ = _common(Vec(u).entries)
-    s = sum(ak * x * x for ak, x in zip(a, big_u))
-    if not s:
-        raise ValueError("reflection vector must be anisotropic (nonzero)")
-    return big_u, s
+    return big_u, sum(ak * x * x for ak, x in zip(a, big_u))
 
 
 def _require_isometry(sp, iso, name):
@@ -285,8 +291,8 @@ def compose(sp, rs):
     (or any iterable of vectors); the empty product is the identity.
 
     The running product is kept as P/d and each reflection enters as
-    the rank-1 update P <- S P - 2 (P U)(a o U)^T, d <- d S; each entry
-    is reduced once, at the end."""
+    the rank-1 update P <- S P - 2 (P U)(a o U)^T, d <- d S; the pair is
+    canonicalized once, at the end."""
     a, _ = _common(sp.d)
     n = sp.n
     p = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -294,13 +300,15 @@ def compose(sp, rs):
     k = 0
     for u in rs:
         big_u, s = _scaled(sp, a, u)
+        if not s:
+            raise ValueError("reflection vector must be anisotropic (nonzero)")
         w = [ak * x for ak, x in zip(a, big_u)]
         for row in p:
             pu = 2 * sum(x * y for x, y in zip(row, big_u) if y)
             row[:] = [s * x - pu * wj if pu and wj else s * x for x, wj in zip(row, w)]
         d = d * s
         k += 1
-    return Isometry._built(sp, Mat([[_over(x, d) for x in row] for row in p]), (-1) ** k)
+    return Isometry._built(sp, Mat._of(*_canonical(p, d)), (-1) ** k)
 
 
 def _restore(iso):
@@ -315,7 +323,7 @@ def _restore(iso):
     index moves).
     """
     n = iso.sp.n
-    p, d = _split(iso.m)
+    p, d = iso.m._p, iso.m._d
     x = [[(d if i == j else 0) - y for j, y in enumerate(row)] for i, row in enumerate(p)]
     prev = 1  # the last pivot; Bareiss divides by it from the second step on
     steps = []
@@ -363,23 +371,26 @@ def decompose(sp, iso):
 def spinor_norm(sp, obj):
     """Spinor norm: the square class of the product of q(u_i) over a
     reflection factorization.  Accepts a ReflectionSeq or an iterable of
-    vectors, whose q-values are multiplied, or an Isometry, whose class
-    is read off the elimination of `decompose` without building its
-    vectors (module docstring): 2^r prod_{j in J} a_j delta / (L d)^r."""
+    vectors, or an Isometry, whose class is read off the elimination of
+    `decompose` without building its vectors (module docstring):
+    2^r prod_{j in J} a_j delta / (L d)^r.  A vector u = U/c has
+    q(u) = S / (L c^2), in the class of S L, so the classes of the S_i L
+    are multiplied without field arithmetic."""
+    a, big_l = _common(sp.d)
     if isinstance(obj, Isometry):
         _require_isometry(sp, obj, "spinor_norm")
-        a, big_l = _common(sp.d)
         d, steps, delta = _restore(obj)
         r = len(steps)
         moved = math.prod(a[i] for i, _, _ in steps)
         return square_class(_over(2**r * moved * delta, (big_l * d) ** r))
-    acc = Fraction(1)
+    acc = square_class(Fraction(1))
     for u in obj:
-        qu = sp.q_value(u)
-        if qu == 0:
+        _, s = _scaled(sp, a, u)
+        if not s:
             raise ValueError("reflection vector must be anisotropic")
-        acc = acc * qu
-    return square_class(acc)
+        sl = s * big_l
+        acc = acc * square_class(Fraction(sl) if type(sl) is int else RatFuncEps(sl))
+    return acc
 
 
 def check_neg_identity(sp):

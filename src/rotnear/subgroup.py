@@ -18,8 +18,8 @@ identity
 
 which holds because sigma^T sigma = I for an isometry of the identity
 form (checked where the isometry was made).  So only the diagonal of
-sigma is read: with its entries written over one common denominator d
-as P_ii/d, the certificate is 2 (n d - sum_i P_ii) / d, reduced once.
+sigma is read: with sigma = P/d its canonical pair, the certificate is
+2 (n d - sum_i P_ii) / d, reduced once.
 
 Over Q the criterion degenerates to sigma = identity, so N is
 interesting only in the non-archimedean instantiation, where
@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .cayley import infinitesimal_rotation
 from .field import eps_order, format_elem, is_infinitesimal
-from .linalg import Mat, Vec, _common, _over
+from .linalg import Mat, Vec, _over
 from .quadspace import Isometry, compose, reflect
 
 __all__ = [
@@ -75,9 +75,9 @@ def in_n(sp, iso):
     """Decide membership of a rotation in N over the identity form.
 
     The certificate frob_sq(I - sigma) is computed as 2 (n - tr sigma),
-    which equals it because sigma^T sigma = I; the diagonal is put over
-    one common denominator d and 2 (n d - sum P_ii) / d is reduced once,
-    giving the same canonical field element.
+    which equals it because sigma^T sigma = I; with sigma = P/d its
+    canonical pair, 2 (n d - tr P) / d is reduced once, giving the same
+    canonical field element.
     """
     _require_identity_form(sp)
     if not isinstance(iso, Isometry) or iso.sp.d != sp.d:
@@ -85,8 +85,8 @@ def in_n(sp, iso):
     if not iso.is_rotation:
         raise ValueError("rotation (determinant 1) required")
     n = sp.n
-    p, d = _common([iso.m[i, i] for i in range(n)])
-    cert = _over(2 * (n * d - sum(p)), d)
+    p, d = iso.m._p, iso.m._d
+    cert = _over(2 * (n * d - sum(p[i][i] for i in range(n))), d)
     return NVerdict(is_infinitesimal(cert), cert, eps_order(cert))
 
 

@@ -16,7 +16,6 @@ from rotnear.linalg import (
     _common,
     _over,
     _preserves,
-    _split,
     det,
     frob_sq,
     inverse,
@@ -407,7 +406,7 @@ def test_form_test_matches_the_gram_product():
                     rows[i][j] = rows[i][j] + delta
                     samples.append(Mat(rows))
             for m in samples:
-                p, d = _split(m)
+                p, d = m._p, m._d
                 expected = m.T @ gram @ m == gram
                 assert _preserves(p, d * d, g) == expected
                 if all(x == 1 for x in g):
