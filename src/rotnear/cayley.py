@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .field import PolyEps, eps, is_infinitesimal
 from .linalg import Mat, SingularMatrixError, _bareiss, _canonical, _matmul, _over, _preserves
+from .linalg import _norm1, _pack, _sum_sq, _unpack
 
 __all__ = [
     "CayleyObstructionError",
@@ -111,7 +112,7 @@ def infinitesimal_rotation(b):
         and any(map(any, shifted(-1)))
         and _preserves(num, dd)
         and minus_sign * minus_delta == sign * delta
-        and is_infinitesimal(_over(sum(x * x for row in gap for x in row), dd))
+        and is_infinitesimal(_over(_sum_sq([x for row in gap for x in row]), dd))
     )
     if not ok:
         raise ArithmeticError("near-identity construction failed its guarantees")
@@ -159,6 +160,11 @@ def neumann_check(b, m):
     q, f = d._p, d._d
     _, delta, r = _bareiss(p, jordan=True)
     cf = c * f
-    gap = [[cf * x - delta * y for x, y in zip(rr, qr)] for rr, qr in zip(r, q)]
-    gap_sq = _over(sum(x * x for row in gap for x in row), (delta * f) ** 2)
+    # sum (cf R_ij - delta Q_ij)^2 on packed ints (all ints when B = 0)
+    pairs = [(x, y) for rr, qr in zip(r, q) for x, y in zip(rr, qr)]
+    cn, dn = _norm1(cf), _norm1(delta)
+    k = sum((cn * _norm1(x) + dn * _norm1(y)) ** 2 for x, y in pairs).bit_length() + 1
+    cv, dv = _pack(cf, k), _pack(delta, k)
+    s = sum((cv * _pack(x, k) - dv * _pack(y, k)) ** 2 for x, y in pairs)
+    gap_sq = _over(s if type(delta) is int else _unpack(s, k), (delta * f) ** 2)
     return NeumannReport(m, d, identity_holds, gap_sq, is_infinitesimal(gap_sq))

@@ -3,10 +3,10 @@
 Subcommands read matrices as JSON ({"n": ..., "entries": [[elem
 strings]]}) from a file argument or stdin ('-'), emit a single JSON
 document on stdout, and report problems on stderr.  Exit codes: 0 on
-success, 1 when a verification check fails, 2 on bad input.  Inputs are
-kept desk-scale: dimension <= 8 (checked before any entry is parsed),
-exponents of e and neumann --m <= 64, and numbers of at most 4000
-digits.
+success, 1 when a verification check fails, 2 on bad input (or a result
+too long to print).  Inputs are kept desk-scale: dimension <= 8 (checked
+before any entry is parsed), exponents of e and neumann --m <= 64, and
+numbers of at most 4000 digits.
 All sampling is seeded and the seed is echoed into the report, so
 identical inputs and seed produce byte-identical output.
 """
@@ -18,7 +18,7 @@ import json
 import sys
 
 from .cayley import CayleyObstructionError, cayley, is_skew, neumann_check
-from .field import MAX_DEGREE, ElemSyntaxError, SquarefreeBoundError, format_elem
+from .field import MAX_DEGREE, ElemSyntaxError, FormatLimitError, SquarefreeBoundError, format_elem
 from .linalg import is_orthogonal, mat_from_json, mat_to_json
 from .quadspace import BilinearSpace, Isometry, decompose, spinor_norm
 from .selftest import run_all
@@ -256,7 +256,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, FormatLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:

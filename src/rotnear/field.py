@@ -85,6 +85,7 @@ __all__ = [
     "parse_rat",
     "format_rat",
     "ElemSyntaxError",
+    "FormatLimitError",
 ]
 
 MAX_DEGREE = 64  # largest exponent of e the grammar accepts; bounds parsed degrees
@@ -853,11 +854,16 @@ def parse_rat(text):
     return x
 
 
+class FormatLimitError(ValueError):
+    """A number has more digits than Python converts to a string."""
+
+
 def format_rat(q):
     q = _coeff(q)
-    if type(q) is int:
-        return str(q)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return str(q) if type(q) is int else f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:  # Python's int-to-str digit limit
+        raise FormatLimitError("the result has a coefficient too long to print") from exc
 
 
 def _format_mono(k, c):

@@ -29,6 +29,17 @@ Norm questions are handled entirely through `frob_sq`, the *squared*
 Frobenius norm: every downstream order/infinitesimality statement is
 equivalent to its squared form, which avoids square roots that Q(e)
 does not have.
+
+Over Z[e] the product, the elimination and the sums of squares run on
+plain ints: evaluation at e = 2^k is a ring map Z[e] -> Z, so a kernel
+packs each entry to x(2^k), runs its int code and reads back what it
+returns as balanced base-2^k digits, exact when every returned
+coefficient is below 2^(k-1) in absolute value: k = bitlen(B) + 1 for a
+bound B on the inputs' L1 norms.  For Bareiss, B = prod_i max(1, sum_j
+|p_ij|_1 + 1) bounds every entry the elimination holds, each a minor of
+[P | I] (Sylvester's identity).  A nonzero minor within the bound packs
+to a nonzero int, and a quotient exact in Z[e] stays exact in Z, so the
+pivots, the failing column and every division are unchanged.
 """
 
 from __future__ import annotations
@@ -146,8 +157,44 @@ def _canonical(rows, d):
     return _shape(flat, d, n)
 
 
+def _norm1(x):
+    """The L1 norm of an int or a PolyEps over Z[e]: the sum of |coefficients|."""
+    return abs(x) if type(x) is int else sum(map(abs, x.coeffs))
+
+
+def _pack(x, k):
+    """x(2^k) for an int or a PolyEps over Z[e], by Horner."""
+    if type(x) is int:
+        return x
+    v = 0
+    for c in reversed(x.coeffs):
+        v = (v << k) + c
+    return v
+
+
+def _unpack(v, k):
+    """The PolyEps over Z[e] whose coefficients are the balanced base-2^k digits of v."""
+    cs, mask, half = [], (1 << k) - 1, 1 << (k - 1)
+    while v:
+        c = v & mask
+        v >>= k
+        if c >= half:
+            c, v = c - (1 << k), v + 1
+        cs.append(c)
+    return PolyEps(cs)
+
+
+def _packed(rows, k):
+    return [[_pack(x, k) for x in row] for row in rows]
+
+
 def _matmul(p, q):
-    """The product of two square matrices given as rows of ints or PolyEps."""
+    """The product of two square matrices given as rows of ints or PolyEps;
+    over Z[e] packed, with (PQ)_ij bounded by sum_l |p_il|_1 * max |q|_inf."""
+    if type(p[0][0]) is not int or type(q[0][0]) is not int:
+        top = max((abs(c) for r in q for x in r for c in _as_poly(x).coeffs), default=0)
+        k = (max(sum(map(_norm1, row)) for row in p) * top).bit_length() + 1
+        return [[_unpack(v, k) for v in row] for row in _matmul(_packed(p, k), _packed(q, k))]
     cols = tuple(zip(*q))
     return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in p]
 
@@ -175,8 +222,12 @@ def _bareiss(p, jordan=False):
     det(p) = sign * delta.  With `jordan`, the elimination is
     Gauss-Jordan on [p | I], which ends at [delta*I | r], so
     r = delta * p^-1; otherwise r is None.  Raises SingularMatrixError
-    with the column that has no pivot.
+    with the column that has no pivot; packed over Z[e] (module docstring).
     """
+    if type(p[0][0]) is not int:
+        k = math.prod(max(1, sum(map(_norm1, row)) + jordan) for row in p).bit_length() + 1
+        sign, delta, r = _bareiss(_packed(p, k), jordan)
+        return sign, _unpack(delta, k), r and [[_unpack(v, k) for v in row] for row in r]
     n = len(p)
     if jordan:
         m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(p)]
@@ -379,9 +430,9 @@ class Mat:
         if isinstance(other, Vec):
             if len(other) != self.n:
                 raise ValueError(f"dimension mismatch: {self.n} vs {len(other)}")
-            return Vec(
-                tuple(sum(a * b for a, b in zip(row, other)) for row in self.rows)
-            )
+            u, c = _common(other.entries)  # P/d @ U/c = PU/(dc)
+            dc = self._d * c
+            return Vec(tuple(_over(sum(a * b for a, b in zip(row, u)), dc) for row in self._p))
         return NotImplemented
 
     def __pow__(self, k):
@@ -435,15 +486,29 @@ def inverse(a):
     return Mat._of(*_canonical([[d * x for x in row] for row in r], delta))
 
 
+def _sum_sq(xs):
+    """The sum of the squares of xs, PolyEps over Z[e], on packed ints."""
+    k = sum(_norm1(x) ** 2 for x in xs).bit_length() + 1
+    return _unpack(sum(v * v for v in (_pack(x, k) for x in xs)), k)
+
+
 def frob_sq(a):
     """Squared Frobenius norm: the sum of the squares of the entries."""
-    return _over(sum(x * x for row in a._p for x in row), a._d * a._d)
+    flat = [x for row in a._p for x in row]
+    s = sum(x * x for x in flat) if type(a._d) is int else _sum_sq(flat)
+    return _over(s, a._d * a._d)
 
 
 def _preserves(p, dd, g=None):
     """P^T G P == dd * G for P a list of rows and G = diag(g), or G = I
     when g is None: with dd = d^2 this is the isometry test on a = P/d,
-    and it needs no division."""
+    and it needs no division; over Z[e] it is P^T A P == dd A for G = A/L, packed."""
+    if type(dd) is not int:
+        a = None if g is None else _common(g)[0]
+        cn = max(sum(_norm1(row[j]) for row in p) for j in range(len(p)))
+        top = 1 if a is None else max(map(_norm1, a))
+        k = (top * max(cn * cn, _norm1(dd))).bit_length() + 1
+        return _preserves(_packed(p, k), _pack(dd, k), a and [_pack(x, k) for x in a])
     cols = list(zip(*p))
     gcols = cols if g is None else [[gk * x for gk, x in zip(g, c)] for c in cols]
     for i, gi in enumerate(gcols):

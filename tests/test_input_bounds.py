@@ -2,7 +2,11 @@
 element grammar, and the matrix dimension before any entry is parsed."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +48,19 @@ def test_cli_rejects_a_large_dimension_before_parsing_entries(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == f"error: dimension {n} exceeds the limit {MAX_DIM}\n"
     assert elapsed < 1.0
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_a_result_too_long_to_print_exits_2(tmp_path):
+    # the image of a 2500-digit entry has coefficients of about 5000 digits,
+    # past Python's default limit of 4300 digits for int-to-str conversion
+    sevens = "7" * 2500
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "entries": [["0", sevens], ["-" + sevens, "0"]]}))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "rotnear", "cayley", str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stderr == "error: the result has a coefficient too long to print\n"
