@@ -137,14 +137,13 @@ def neumann_check(b, m):
         raise ValueError("m must be an odd positive integer")
     _require_rational_skew(b, nonzero=False)
     n = b.n
-    i = Mat.identity(n)
     # D has no denominator in e: its coefficient of e^k is the matrix
     # (-B)^k = (-P)^k / t^k for B = P/t, so D = sum_k (-P)^k t^(m-1-k) e^k
-    # over t^(m-1), built on the integer matrices (-P)^k.
-    t = b._d
-    neg = [[-x for x in row] for row in b._p]
-    powers = [i._p]
-    for _ in range(m - 1):
+    # over t^(m-1), built on the integer matrices (-P)^k, k <= m.
+    p, t = b._p, b._d
+    neg = [[-x for x in row] for row in p]
+    powers = [Mat.identity(n)._p]
+    for _ in range(m):
         powers.append(_matmul(powers[-1], neg))
     scales = [t ** (m - 1 - k) for k in range(m)]
     rows = [
@@ -152,14 +151,23 @@ def neumann_check(b, m):
         for r in range(n)
     ]
     d = Mat._of(*_canonical(rows, t ** (m - 1)))
-    plus = i + eps * b
-    identity_holds = plus @ d == i + (eps**m) * (b**m)
-    # with I + eB = P/c, R = delta P^-1 and D = Q/f:
-    # (I+eB)^-1 - D = (cf R - delta Q)/(delta f)
-    p, c = plus._p, plus._d
     q, f = d._p, d._d
-    _, delta, r = _bareiss(p, jordan=True)
-    cf = c * f
+    # With I + eB = (tI + eP)/t, D = Q/f (f constant) and B^m = P^m/t^m,
+    # P^m = -(-P)^m for odd m, the identity is, in Z[e],
+    # (tI + eP) Q t^m == (t^m I + e^m P^m) t f.
+    plus = [
+        [PolyEps((t if r == c else 0, x)) for c, x in enumerate(row)] for r, row in enumerate(p)
+    ]
+    tm, cf = t**m, t * (f if type(f) is int else f.lc)
+    zeros = [0] * (m - 1)
+    identity_holds = all(
+        x * tm == PolyEps([tm * cf if r == c else 0, *zeros, -y * cf])
+        for r, (xr, yr) in enumerate(zip(_matmul(plus, q), powers[m]))
+        for c, (x, y) in enumerate(zip(xr, yr))
+    )
+    # the gap with R = delta (tI + eP)^-1, for any pair of I + eB:
+    # (I+eB)^-1 - D = (cf R - delta Q)/(delta f), cf = t f
+    _, delta, r = _bareiss(plus, jordan=True)
     # sum (cf R_ij - delta Q_ij)^2 on packed ints (all ints when B = 0)
     pairs = [(x, y) for rr, qr in zip(r, q) for x, y in zip(rr, qr)]
     cn, dn = _norm1(cf), _norm1(delta)

@@ -13,14 +13,14 @@ are, and equality and hashing read the pair; a Q matrix and a Q(e)
 matrix with the same constant entries are equal and hash equal.
 
 Every kernel works on the pair.  Products, sums and scalar multiples
-form the new pair and divide out one gcd (`_canonical`: a single chain
-that tries exact division before a polynomial gcd and stops at a
-unit); the transpose, the negation and the inverse of an isometry of
-the identity form need no gcd at all.  `det` and `inverse` run
-Bareiss's fraction-free elimination on P (forward for `det`,
-Gauss-Jordan on [P | I] for `inverse`), whose every division is exact
-and stays in Z[e]; the pivot is the first row with a nonzero entry in
-the current column.  The isometry test P^T G P == d^2 G for a diagonal
+form the new pair and divide out one gcd (`_canonical`: one integer gcd
+of packed values decides it in the common case, and only otherwise is a
+polynomial gcd folded over the entries); the transpose, the negation
+and the inverse of an isometry of the identity form need no gcd at
+all.  `det` and `inverse` run Bareiss's fraction-free elimination on P
+(forward for `det`, Gauss-Jordan on [P | I] for `inverse`), whose
+every division is exact and stays in Z[e]; the pivot is the first row
+with a nonzero entry in the current column.  The isometry test P^T G P == d^2 G for a diagonal
 form G (orthogonality when G = I) runs on P with no division at all.
 An entry is reduced to its canonical field element P_ij/d only when it
 is read (`m[i, j]`, `rows`, `entries`, `mat_to_json`, `repr`), once per
@@ -47,7 +47,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .field import PolyEps, RatFuncEps, _as_poly, _primitive, format_elem, parse_elem
+from .field import PolyEps, RatFuncEps, _as_poly, _digits, _heu_gcd, _primitive
+from .field import _pack as _pack_coeffs
+from .field import format_elem, parse_elem
 
 __all__ = [
     "Vec",
@@ -121,11 +123,14 @@ def _canonical(rows, d):
     their gcd over Z[e], content included, with lc(d) > 0 (see `_shape`).
 
     Over Z the gcd is one `math.gcd`.  Over Z[e] the content is one
-    `math.gcd` of every coefficient, and the primitive part runs one gcd
-    chain: it starts at g = d, keeps g while g divides an entry exactly,
-    calls `PolyEps.gcd` only where it does not, and stops once g is a
-    unit.  By Gauss's lemma every quotient by the primitive part of g
-    stays in Z[e]."""
+    `math.gcd` of every coefficient.  Then GCDHEU runs once over d and
+    all entries (`field._heu_gcd`): one integer gcd of their values at a
+    power of two past d's root bound shows, in the common case, that
+    they share no nonconstant factor; otherwise the candidate read off
+    it is kept with the exact quotients it leaves.  Only when no
+    candidate verifies is `PolyEps.gcd` folded over the entries,
+    stopping at a unit.  By Gauss's lemma every quotient by the
+    primitive gcd stays in Z[e]."""
     n = len(rows)
     flat = [x for row in rows for x in row]
     if type(d) is int and all(type(x) is int for x in flat):
@@ -139,21 +144,26 @@ def _canonical(rows, d):
     d = _as_poly(d)
     flat = [_as_poly(x) for x in flat]
     content = math.gcd(*d.coeffs, *(c for x in flat for c in x.coeffs))
-    g = d
-    for x in flat:
-        if g.degree < 1:
-            break
-        if x and x % g:
-            g = PolyEps.gcd(g, x)
-    if g.degree > 0:
-        g = PolyEps(_primitive(g.coeffs))
-        d = d // g
-        flat = [x // g for x in flat]
     if d.lc < 0:
         content = -content
     if content != 1:
         d = PolyEps([c // content for c in d.coeffs])
         flat = [PolyEps([c // content for c in x.coeffs]) for x in flat]
+    if d.degree > 0:
+        found = _heu_gcd([d.coeffs] + [x.coeffs for x in flat])
+        if found is None:
+            g = d
+            for x in flat:
+                if g.degree < 1:
+                    break
+                if x:
+                    g = PolyEps.gcd(g, x)
+            if g.degree > 0:
+                g = PolyEps(_primitive(g.coeffs))
+                d = d // g
+                flat = [x // g for x in flat]
+        elif found[0] != [1]:
+            d, *flat = map(PolyEps, found[1])
     return _shape(flat, d, n)
 
 
@@ -163,25 +173,13 @@ def _norm1(x):
 
 
 def _pack(x, k):
-    """x(2^k) for an int or a PolyEps over Z[e], by Horner."""
-    if type(x) is int:
-        return x
-    v = 0
-    for c in reversed(x.coeffs):
-        v = (v << k) + c
-    return v
+    """x(2^k) for an int or a PolyEps over Z[e]."""
+    return x if type(x) is int else _pack_coeffs(x.coeffs, k)
 
 
 def _unpack(v, k):
     """The PolyEps over Z[e] whose coefficients are the balanced base-2^k digits of v."""
-    cs, mask, half = [], (1 << k) - 1, 1 << (k - 1)
-    while v:
-        c = v & mask
-        v >>= k
-        if c >= half:
-            c, v = c - (1 << k), v + 1
-        cs.append(c)
-    return PolyEps(cs)
+    return PolyEps(_digits(v, k))
 
 
 def _packed(rows, k):

@@ -221,3 +221,21 @@ def test_neumann_gap_with_rational_series_coefficients():
             i = Mat.identity(n)
             assert rep.identity_holds
             assert rep.gap_sq == frob_sq(inverse(i + eps * b) - rep.d)
+
+
+def test_neumann_identity_matches_the_mat_expression():
+    rng = random.Random(33)
+    bs = [Mat.zero(n) for n in (2, 3)]
+    for n in (2, 3, 4, 5):
+        bs.append(random_skew(rng, n))
+        bs.append(random_skew(rng, n) * Fraction(rng.randint(1, 5), rng.randint(2, 7)))
+    # B = P/5 with P the cross-product matrix of (1, 2, 0): P^3 = -5P, so
+    # every odd power past the first shares the prime 5 with t = 5
+    bs.append(Mat([[0, 0, 2], [0, 0, -1], [-2, 1, 0]]) * Fraction(1, 5))
+    for b in bs:
+        i = Mat.identity(b.n)
+        for m in (1, 3, 5, 7):
+            rep = neumann_check(b, m)
+            assert rep.identity_holds == ((i + eps * b) @ rep.d == i + (eps**m) * (b**m))
+            assert rep.identity_holds
+            assert rep.gap_sq == frob_sq(inverse(i + eps * b) - rep.d)

@@ -363,6 +363,91 @@ def test_gcd_matches_sympy():
         assert PolyEps(got) == PolyEps.gcd(a, b), (a, b)
 
 
+# -- the heuristic gcd (GCDHEU) and its remainder-sequence fallback ----------
+
+
+def _refuse_prem(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("the remainder sequence ran")
+
+    monkeypatch.setattr(rotnear.field, "_prem", refuse)
+
+
+def _count_prem(monkeypatch):
+    calls = []
+    real = rotnear.field._prem
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(rotnear.field, "_prem", counted)
+    return calls
+
+
+def _edge_pairs():
+    """(a, b) sharing e - c with c = M at the Cauchy bound of a, where
+    |a|_inf = M = 2^j - 1 makes 2|a|_inf + 2 a power of two, so the least
+    evaluation point is exactly 2|a|_inf + 2; G(xi) = M + 2 then exceeds
+    xi/2 = M + 1 by one."""
+    rng = random.Random(1989)
+    for j in range(1, 9):
+        m = 2**j - 1
+        for root in (m, -m):
+            g = PolyEps((-root, 1))
+            a = g * PolyEps((1, 1)) if root > 0 else g * PolyEps((-1, 1))
+            assert max(map(abs, a.coeffs)) == m
+            yield a, g * random_poly(rng, 3, nonzero=True)
+
+
+def test_coprimality_bound_is_tight_at_the_least_evaluation_point():
+    from rotnear.field import _cauchy_bits, _value_gcd
+
+    for a, b in _edge_pairs():
+        k = _cauchy_bits(list(a.coeffs))
+        assert 1 << k == 2 * max(map(abs, a.coeffs)) + 2
+        assert _value_gcd([list(a.coeffs), list(b.coeffs)], k) > 1 << (k - 1)
+
+
+def test_gcd_matches_the_euclidean_gcd_on_heuristic_edge_cases():
+    rng = random.Random(1147)
+    pairs = list(_edge_pairs())
+    for _ in range(40):  # negative leading coefficients, Fraction coefficients
+        g = _rational_poly(rng, 3) * Fraction(-rng.randint(1, 9), rng.randint(1, 9))
+        a, b = g * _rational_poly(rng, 3), g * _rational_poly(rng, 3)
+        pairs.append((-a if a.lc > 0 else a, -b if b.lc > 0 else b))
+    for a, b in pairs:
+        g = PolyEps.gcd(a, b)
+        assert g == _euclidean_gcd(a, b) == PolyEps.gcd(b, a), (a, b)
+
+
+def test_gcd_falls_back_when_the_heuristic_cannot_verify(monkeypatch):
+    # for b = G * e^64 and a = G * (e + 2^64) the values at every tried xi
+    # = 2^k share the extra factor xi, whose digits read back as e * G,
+    # which divides neither input
+    calls = _count_prem(monkeypatch)
+    rng = random.Random(1989)
+    for _ in range(5):
+        g = random_poly(rng, 3, nonzero=True) * PolyEps((1, 1))
+        a, b = g * PolyEps((2**64, 1)), g * PolyEps([0] * 64 + [1])
+        before = len(calls)
+        assert PolyEps.gcd(a, b) == _euclidean_gcd(a, b) == g.monic()
+        assert len(calls) > before
+
+
+def test_coprime_fractions_never_run_the_remainder_sequence(monkeypatch):
+    rng = random.Random(1990)
+    pairs = []
+    while len(pairs) < 40:
+        num, den = _rational_poly(rng, 4), _rational_poly(rng, 4)
+        if den.degree > 0 and num and _euclidean_gcd(num, den) == PolyEps(1):
+            pairs.append((num, den))
+    _refuse_prem(monkeypatch)
+    for num, den in pairs:
+        x = RatFuncEps(num, den)
+        assert x.den.lc == 1 and x.num * den == num * x.den
+
+
 def _follows_coefficient_rule(x):
     if isinstance(x, RatFuncEps):
         return _follows_coefficient_rule(x.num) and _follows_coefficient_rule(x.den)

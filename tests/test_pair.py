@@ -9,11 +9,12 @@ from fractions import Fraction
 
 import pytest
 
+import rotnear.field
 from rotnear.cayley import cayley, neumann_check
 from rotnear.field import PolyEps, RatFuncEps, eps, format_elem
 from rotnear.linalg import Mat, SingularMatrixError, Vec, _canonical, inverse, mat_to_json
 from rotnear.quadspace import BilinearSpace, compose
-from rotnear.sampling import random_ratfunc
+from rotnear.sampling import random_poly, random_ratfunc
 
 
 def rand_entry(rng, qe):
@@ -118,6 +119,55 @@ def test_scaled_pairs_canonicalize_to_the_same_matrix():
             assert scaled == m and hash(scaled) == hash(m)
             assert scaled._p == m._p and scaled._d == m._d
             assert entries_equal(scaled, m.rows)
+
+
+def test_canonical_pairs_never_run_the_remainder_sequence(monkeypatch):
+    pairs = [(m._p, m._d) for a, b in samples(74) for m in (a, a @ b, b.T) if isinstance(m._d, PolyEps)]
+    assert len(pairs) >= 20
+
+    def refuse(a, b):
+        raise AssertionError("the remainder sequence ran")
+
+    monkeypatch.setattr(rotnear.field, "_prem", refuse)
+    for p, d in pairs:
+        assert _canonical(p, d) == (p, d)
+
+
+def test_canonical_removes_a_factor_at_the_cauchy_bound():
+    # d = (e - c)(e +- 1) with |d|_inf = |c| = 2^j - 1, the largest root
+    # d's Cauchy bound allows
+    rng = random.Random(75)
+    for j in range(1, 9):
+        c = 2**j - 1
+        for root, other in ((c, 1), (-c, -1)):
+            g = PolyEps((-root, 1))
+            d = g * PolyEps((other, 1))
+            rows = [[g * random_poly(rng, 2) for _ in range(3)] for _ in range(3)]
+            want = Mat([[RatFuncEps(x, d) for x in row] for row in rows])
+            got = Mat._of(*_canonical(rows, d))
+            assert got == want
+            assert_canonical(got._p, got._d)
+
+
+def test_canonical_folds_pair_gcds_when_the_heuristic_fails(monkeypatch):
+    # d = G e^64 and entries G (e + 2^64): every tried xi = 2^k divides
+    # the values' gcd once more than G(xi) does, so the digits read back
+    # as e G, which divides no entry, and both the matrix heuristic and
+    # each pair's fall back
+    calls = []
+    real = rotnear.field._prem
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(rotnear.field, "_prem", counted)
+    g = PolyEps((3, -1, 2))
+    d = g * PolyEps([0] * 64 + [1])
+    rows = [[g * PolyEps((2**64, 1)), 0], [0, g * PolyEps((2**64, 1))]]
+    want = Mat([[RatFuncEps(x, d) for x in row] for row in rows])
+    assert Mat._of(*_canonical(rows, d)) == want
+    assert calls
 
 
 def test_constant_qe_matrix_equals_its_rational_twin():
