@@ -5,8 +5,8 @@ strings]]}) from a file argument or stdin ('-'), emit a single JSON
 document on stdout, and report problems on stderr.  Exit codes: 0 on
 success, 1 when a verification check fails, 2 on bad input (or a result
 too long to print).  Inputs are kept desk-scale: dimension <= 8 (checked
-before any entry is parsed), exponents of e and neumann --m <= 64, and
-numbers of at most 4000 digits.
+before any entry is parsed), exponents of e and neumann --m <= 64,
+numbers of at most 4000 digits, and selftest --trials <= 1000.
 All sampling is seeded and the seed is echoed into the report, so
 identical inputs and seed produce byte-identical output.
 """
@@ -25,6 +25,7 @@ from .selftest import run_all
 from .subgroup import contact_generator, in_n, witnesses
 
 MAX_DIM = 8
+MAX_TRIALS = 1000  # largest selftest --trials; the largest default sample count is 500
 
 
 class InputError(Exception):
@@ -199,6 +200,8 @@ def cmd_demo(args):
 def cmd_selftest(args):
     if args.max_dim is not None and args.max_dim > MAX_DIM:
         raise InputError(f"--max-dim exceeds the limit {MAX_DIM}")
+    if args.trials is not None and args.trials > MAX_TRIALS:
+        raise InputError(f"--trials exceeds the limit {MAX_TRIALS}")
     results = run_all(seed=args.seed, trials=args.trials, max_dim=args.max_dim)
     ok = all(r.passed for r in results)
     _emit(

@@ -13,18 +13,18 @@ it lets polynomials over Z[e] (the fraction-free kernels of `linalg`)
 run on plain ints.  Public rational values (`parse_elem`, `evaluate`)
 stay Fractions.
 
-`PolyEps.gcd` decides a gcd with one integer gcd (GCDHEU; Char, Geddes
-and Gonnet 1989): it evaluates both primitive integer inputs at
-xi = 2^k, takes gamma = gcd of the values, and reads gamma back as
-balanced base-xi digits.  The primitive polynomial remainder sequence
-over Z runs only when that answer cannot be verified, and only the
-result is made monic.  With xi >= 2 |a|_inf + 2 for one nonzero input
-a, gamma <= xi/2 proves the inputs coprime: every root z of a has
-|z| < 1 + |a|_inf <= xi/2 (Cauchy's bound), so a nonconstant factor G of
-a has |G(xi)| = |lc(G)| prod |xi - z_i| > xi/2, while a common factor's
-value G(xi) divides every value and so gamma.  The same heuristic, run
-once over a denominator and all n^2 entries, gives `linalg`'s canonical
-pairs with their exact quotients, usually with no polynomial gcd at all.
+Every polynomial gcd goes through `_cofactors`, which returns the
+primitive gcd of integer coefficient lists with each input divided by
+it, so no caller divides by a gcd it has just found.  It decides the
+gcd with one integer gcd (GCDHEU; Char, Geddes and Gonnet 1989): the
+inputs are evaluated at xi = 2^k and gamma, the gcd of the values, is
+read back as balanced base-xi digits; the primitive remainder sequence
+over Z is its fallback, run only when that answer cannot be verified.
+With xi >= 2 |a|_inf + 2 for one nonzero input a, gamma <= xi/2 proves
+the inputs coprime: every root z of a has |z| < 1 + |a|_inf <= xi/2
+(Cauchy's bound), so a nonconstant factor G of a has |G(xi)| = |lc(G)|
+prod |xi - z_i| > xi/2, while a common factor's value G(xi) divides
+every value and so gamma.
 
 Q(e) is ordered by reading the sign of the lowest-order nonzero
 coefficient.  This is the unique ordering in which e is a positive
@@ -223,15 +223,16 @@ _HEU_TRIES = 6
 _HEU_EXTRA_BITS = 4
 
 
-def _heu_gcd(polys):
+def _cofactors(polys):
     """(h, quotients): the primitive gcd h (lc > 0) of the int lists polys
-    and each of them divided by h, by GCDHEU (Char, Geddes and Gonnet
-    1989); None when no evaluation point verifies one.  polys[0] is
-    nonzero and sets xi = 2^k >= 2 |polys[0]|_inf + 2.  With g the gcd of
-    the values (`_value_gcd`), g <= xi/2 means h = 1; otherwise h is the
-    primitive part of g's balanced xi-adic digits when it divides every
-    poly: then the gcd is h*Q with Q(xi) dividing the content c of those
-    digits, and |c| <= xi/2 < |Q(xi)| unless Q is constant."""
+    and each of them divided by h, exactly.  polys[0] is nonzero and sets
+    xi = 2^k >= 2 |polys[0]|_inf + 2.  GCDHEU runs first: with g the gcd
+    of the values (`_value_gcd`), g <= xi/2 means h = 1; otherwise h is
+    the primitive part of g's balanced xi-adic digits when it divides
+    every poly: then the gcd is h*Q with Q(xi) dividing the content c of
+    those digits, and |c| <= xi/2 < |Q(xi)| unless Q is constant.  Only
+    when no point verifies one is the primitive remainder sequence
+    (Collins 1967; Brown and Traub 1971) folded over the inputs."""
     k = _cauchy_bits(polys[0]) + _HEU_EXTRA_BITS
     for _ in range(_HEU_TRIES):
         g = _value_gcd(polys, k)
@@ -251,7 +252,18 @@ def _heu_gcd(polys):
         else:
             return h, quotients
         k += k // 4 + 2
-    return None
+    h = _primitive(polys[0])
+    for p in polys[1:]:
+        if len(h) == 1:
+            break
+        a, b = h, _primitive(p)
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            a, b = b, _primitive(_prem(a, b))
+        h = a
+    h = PolyEps(h) if h[-1] > 0 else -PolyEps(h)
+    return list(h.coeffs), [list((PolyEps(p) // h).coeffs) for p in polys]
 
 
 class PolyEps:
@@ -419,25 +431,17 @@ class PolyEps:
 
     @staticmethod
     def gcd(a, b):
-        """Monic greatest common divisor (0 if both arguments are 0).  Both
-        inputs are scaled to primitive int lists and GCDHEU decides the gcd
-        with one integer gcd of their values (`_heu_gcd`); only when it
-        cannot verify its answer does the primitive polynomial remainder
-        sequence over Z run, each pseudo-remainder replaced by its
-        primitive part (Collins 1967; Brown and Traub 1971).  The result is
-        made monic."""
+        """Monic greatest common divisor (0 if both arguments are 0): both
+        inputs are scaled to primitive int lists, the one of smaller norm
+        first, and `_cofactors` finds their gcd, by GCDHEU with the
+        primitive remainder sequence as its fallback.  The result is made
+        monic."""
         a, b = _primitive(a.coeffs), _primitive(b.coeffs)
         if not (a and b):
             a = a or b
             return PolyEps(a).monic() if a else _POLY_ZERO
-        found = _heu_gcd([a, b] if max(map(abs, a)) <= max(map(abs, b)) else [b, a])
-        if found is None:
-            if len(a) < len(b):
-                a, b = b, a
-            while b:
-                a, b = b, _primitive(_prem(a, b))
-            return PolyEps(a).monic()
-        return PolyEps(found[0]).monic()
+        polys = [a, b] if max(map(abs, a)) <= max(map(abs, b)) else [b, a]
+        return PolyEps(_cofactors(polys)[0]).monic()
 
     def __repr__(self):
         return f"PolyEps({_format_poly(self)!r})"
@@ -483,10 +487,11 @@ class RatFuncEps:
             self.den = _POLY_ONE
             return
         if den.degree > 0:  # a constant den has no common factor with num
-            g = PolyEps.gcd(num, den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
+            # num/den = s*a/b = s*(a/h)/(b/h) for a, b primitive over Z
+            h, (b, a) = _cofactors([_primitive(den.coeffs), _primitive(num.coeffs)])
+            if h != [1]:
+                s = _div(num.lc * b[-1], a[-1] * den.lc)
+                num, den = PolyEps([s * c for c in a]), PolyEps(b)
         lc = den.lc
         if lc != 1:
             num, den = PolyEps([_div(c, lc) for c in num.coeffs]), den.monic()
@@ -647,28 +652,24 @@ def eps_order(x):
 
 def squarefree_decomposition(p):
     """Yun's algorithm: pairwise-coprime monic squarefree a_i with
-    monic(p) = prod a_i^i; returned as a list of (a_i, i), i ascending."""
+    monic(p) = prod a_i^i; returned as a list of (a_i, i), i ascending.
+    It runs over Z[e]: b and c are divided by the same gcd, so their
+    common scale cancels, and each a_i is made monic when found."""
     if p.is_zero:
         raise ValueError("zero polynomial has no squarefree decomposition")
-    f = p.monic()
-    if f.degree == 0:
-        return []
-    df = f.derivative()
-    g = PolyEps.gcd(f, df)
-    b = f // g
-    c = df // g
-    z = c - b.derivative()
+    b = PolyEps(_primitive(p.coeffs))
+    z = b.derivative()
     out = []
-    i = 1
+    i = 0  # pass 0 is Yun's set-up: b, c = f / gcd(f, f'), f' / gcd(f, f')
     while b.degree > 0:
-        a = PolyEps.gcd(b, z)
-        if a.degree > 0:
-            out.append((a, i))
-        b = b // a
-        c = z // a
-        z = c - b.derivative()
+        a, (b, c) = _cofactors([b.coeffs, z.coeffs])
+        if i and len(a) > 1:
+            out.append((PolyEps(a).monic(), i))
+        b = PolyEps(b)
+        z = PolyEps(c) - b.derivative()
         i += 1
     return out
+
 
 def squarefree_part(p):
     """Monic product of the irreducible factors of p with odd
@@ -750,8 +751,8 @@ class SquareClassRep:
         if w == _POLY_ONE or v == _POLY_ONE:
             w = w * v
         else:
-            g = PolyEps.gcd(w, v)
-            w = (w * v) // (g * g)
+            _, (w, v) = _cofactors([_primitive(w.coeffs), _primitive(v.coeffs)])
+            w = (PolyEps(w) * PolyEps(v)).monic()
         return _class_rep(_squarefree_product(s, t), w)
 
     @property

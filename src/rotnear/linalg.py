@@ -13,9 +13,10 @@ are, and equality and hashing read the pair; a Q matrix and a Q(e)
 matrix with the same constant entries are equal and hash equal.
 
 Every kernel works on the pair.  Products, sums and scalar multiples
-form the new pair and divide out one gcd (`_canonical`: one integer gcd
-of packed values decides it in the common case, and only otherwise is a
-polynomial gcd folded over the entries); the transpose, the negation
+form the new pair and divide out one gcd (`_canonical`: one call of
+`field._cofactors` over the denominator and every entry returns the gcd
+with the exact quotients; one integer gcd of packed values decides it
+in the common case); the transpose, the negation
 and the inverse of an isometry of the identity form need no gcd at
 all.  `det` and `inverse` run Bareiss's fraction-free elimination on P
 (forward for `det`, Gauss-Jordan on [P | I] for `inverse`), whose
@@ -47,7 +48,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .field import PolyEps, RatFuncEps, _as_poly, _digits, _heu_gcd, _primitive
+from .field import PolyEps, RatFuncEps, _as_poly, _cofactors, _digits
 from .field import _pack as _pack_coeffs
 from .field import format_elem, parse_elem
 
@@ -123,14 +124,12 @@ def _canonical(rows, d):
     their gcd over Z[e], content included, with lc(d) > 0 (see `_shape`).
 
     Over Z the gcd is one `math.gcd`.  Over Z[e] the content is one
-    `math.gcd` of every coefficient.  Then GCDHEU runs once over d and
-    all entries (`field._heu_gcd`): one integer gcd of their values at a
-    power of two past d's root bound shows, in the common case, that
-    they share no nonconstant factor; otherwise the candidate read off
-    it is kept with the exact quotients it leaves.  Only when no
-    candidate verifies is `PolyEps.gcd` folded over the entries,
-    stopping at a unit.  By Gauss's lemma every quotient by the
-    primitive gcd stays in Z[e]."""
+    `math.gcd` of every coefficient.  Then one `field._cofactors` call
+    over d and all entries gives their primitive gcd with the exact
+    quotients it leaves; in the common case one integer gcd of their
+    values at a power of two past d's root bound shows that they share
+    no nonconstant factor, and the entries are kept as they are.  By
+    Gauss's lemma every quotient by the primitive gcd stays in Z[e]."""
     n = len(rows)
     flat = [x for row in rows for x in row]
     if type(d) is int and all(type(x) is int for x in flat):
@@ -150,20 +149,9 @@ def _canonical(rows, d):
         d = PolyEps([c // content for c in d.coeffs])
         flat = [PolyEps([c // content for c in x.coeffs]) for x in flat]
     if d.degree > 0:
-        found = _heu_gcd([d.coeffs] + [x.coeffs for x in flat])
-        if found is None:
-            g = d
-            for x in flat:
-                if g.degree < 1:
-                    break
-                if x:
-                    g = PolyEps.gcd(g, x)
-            if g.degree > 0:
-                g = PolyEps(_primitive(g.coeffs))
-                d = d // g
-                flat = [x // g for x in flat]
-        elif found[0] != [1]:
-            d, *flat = map(PolyEps, found[1])
+        h, quotients = _cofactors([d.coeffs] + [x.coeffs for x in flat])
+        if h != [1]:
+            d, *flat = map(PolyEps, quotients)
     return _shape(flat, d, n)
 
 

@@ -91,6 +91,18 @@ def test_selftest_max_dim_guard(capsys):
     assert "max-dim" in err
 
 
+def test_selftest_trials_guard_runs_no_checker(capsys, monkeypatch):
+    from rotnear import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_all", lambda **kw: calls.append(kw) or [])
+    code, _, err = run(capsys, ["selftest", "--trials", str(cli.MAX_TRIALS + 1)])
+    assert code == 2 and "trials" in err and calls == []
+    code, out, _ = run(capsys, ["selftest", "--trials", str(cli.MAX_TRIALS)])
+    assert code == 0 and calls[0]["trials"] == cli.MAX_TRIALS
+    assert json.loads(out)["trials"] == cli.MAX_TRIALS
+
+
 def test_in_n_identity(tmp_path, capsys):
     ident = {"n": 3, "entries": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
     code, out, _ = run(capsys, ["in-n", write(tmp_path, "m.json", ident)])

@@ -448,6 +448,76 @@ def test_coprime_fractions_never_run_the_remainder_sequence(monkeypatch):
         assert x.den.lc == 1 and x.num * den == num * x.den
 
 
+def _nonconstant(rng, max_deg):
+    while True:
+        p = _rational_poly(rng, max_deg)
+        if p.degree > 0:
+            return p
+
+
+def test_reductions_keep_the_gcds_quotients(monkeypatch):
+    # RatFuncEps, Yun's algorithm and the product of square classes read
+    # their quotients off the gcd routine: no polynomial division runs
+    rng = random.Random(1989)
+    fractions, polys, classes = [], [], []
+    for k in range(12):
+        g = _nonconstant(rng, 2) * Fraction(-rng.randint(1, 9), rng.randint(1, 5))
+        num, den = g * _rational_poly(rng, 3), g * _nonconstant(rng, 3)
+        fractions.append((num, den if k % 2 else -den))
+        g1, g2, g3 = (_nonconstant(rng, 2) for _ in range(3))
+        polys.append(g1 * g2 * g2 * g3**3 * Fraction(-3, 7))
+        g = PolyEps((rng.randint(-9, 9), 1))
+        classes.append((RatFuncEps(g * _nonconstant(rng, 2)), RatFuncEps(g * _nonconstant(rng, 2))))
+    squares = [(square_class(x), square_class(y)) for x, y in classes]
+
+    def refuse(a, b):
+        raise AssertionError("a polynomial division ran")
+
+    monkeypatch.setattr(PolyEps, "__divmod__", refuse)
+    reduced = [RatFuncEps(num, den) for num, den in fractions]
+    parts = [squarefree_decomposition(p) for p in polys]
+    products = [s * t for s, t in squares]
+    monkeypatch.undo()
+    for (num, den), x in zip(fractions, reduced):
+        assert x.den.lc == 1 and x.num * den == num * x.den
+        assert _euclidean_gcd(x.num, x.den) == PolyEps(1)
+    for p, dec in zip(polys, parts):
+        prod = PolyEps(1)
+        for a, i in dec:
+            assert a.lc == 1 and a.degree > 0
+            prod = prod * a**i
+        assert prod == p.monic()
+        for j, (a, _) in enumerate(dec):
+            assert all(_euclidean_gcd(a, b) == PolyEps(1) for b, _ in dec[j + 1 :])
+    for (x, y), product in zip(classes, products):
+        assert product == square_class(x * y)
+
+
+def test_fallback_quotients_match_the_heuristic(monkeypatch):
+    from rotnear.field import _cofactors
+
+    rng = random.Random(1971)
+    cases = []
+    for _ in range(8):
+        g = random_poly(rng, 3, nonzero=True) * PolyEps((rng.randint(-9, 9), -rng.randint(1, 9)))
+        cases.append([g * random_poly(rng, 3, nonzero=True), PolyEps(), g * random_poly(rng, 4)])
+        cases.append([random_poly(rng, 4, nonzero=True) * rng.choice((-6, 1, 10))])
+        a, b = random_poly(rng, 4, nonzero=True), random_poly(rng, 4, nonzero=True)
+        if _euclidean_gcd(a, b).degree == 0:  # a constant gcd, with content
+            cases.append([-2 * a, PolyEps(), 4 * b])
+    cases = [[list(p.coeffs) for p in ps] for ps in cases]
+    heuristic = [_cofactors(ps) for ps in cases]
+    monkeypatch.setattr(rotnear.field, "_HEU_TRIES", 0)
+    calls = _count_prem(monkeypatch)
+    for ps, want in zip(cases, heuristic):
+        h, quotients = _cofactors(ps)
+        assert (h, quotients) == want, ps
+        assert h[-1] > 0 and len(quotients) == len(ps)
+        for p, q in zip(ps, quotients):
+            assert PolyEps(h) * PolyEps(q) == PolyEps(p), (ps, h, q)
+    assert calls
+
+
 def _follows_coefficient_rule(x):
     if isinstance(x, RatFuncEps):
         return _follows_coefficient_rule(x.num) and _follows_coefficient_rule(x.den)
