@@ -17,12 +17,13 @@ inverse of I + eB by a matrix of infinitesimal squared norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import PolyEps, eps, is_infinitesimal
 from .linalg import Mat, SingularMatrixError, _bareiss, _canonical, _matmul, _over, _preserves
-from .linalg import _norm1, _pack, _sum_sq, _unpack
+from .linalg import _norm1, _pack, _shape, _sum_sq, _unpack
 
 __all__ = [
     "CayleyObstructionError",
@@ -132,47 +133,50 @@ class NeumannReport:
 
 def neumann_check(b, m):
     """Verify (I+eB) D = I + e^m B^m exactly for odd m, with
-    D = sum_{k<m} (-eB)^k, and report the inverse-truncation gap."""
+    D = sum_{k<m} (-eB)^k, and report the inverse-truncation gap.
+
+    With B = P/t, D = sum_k Q_k e^k / f for the int matrices
+    Q_k = (-P)^k t^(m-1-k) / g, f = t^(m-1) / g and g their content.  As
+    I + eB = (tI + eP)/t and B^m = -(-P)^m / t^m for odd m, the identity
+    holds exactly when, per power e^j (j = 0..m, Q_-1 = Q_m = 0, cf = t f),
+        t^m (t Q_j + P Q_(j-1)) == [j = 0] t^m cf I - [j = m] cf (-P)^m,
+    checked on ints with P Q_(j-1) formed as its own product."""
     if not isinstance(m, int) or m < 1 or m % 2 == 0:
         raise ValueError("m must be an odd positive integer")
     _require_rational_skew(b, nonzero=False)
     n = b.n
-    # D has no denominator in e: its coefficient of e^k is the matrix
-    # (-B)^k = (-P)^k / t^k for B = P/t, so D = sum_k (-P)^k t^(m-1-k) e^k
-    # over t^(m-1), built on the integer matrices (-P)^k, k <= m.
     p, t = b._p, b._d
     neg = [[-x for x in row] for row in p]
     powers = [Mat.identity(n)._p]
     for _ in range(m):
         powers.append(_matmul(powers[-1], neg))
+    f = t ** (m - 1)
     scales = [t ** (m - 1 - k) for k in range(m)]
-    rows = [
-        [PolyEps([s * pk[r][c] for s, pk in zip(scales, powers)]) for c in range(n)]
-        for r in range(n)
-    ]
-    d = Mat._of(*_canonical(rows, t ** (m - 1)))
-    q, f = d._p, d._d
-    # With I + eB = (tI + eP)/t, D = Q/f (f constant) and B^m = P^m/t^m,
-    # P^m = -(-P)^m for odd m, the identity is, in Z[e],
-    # (tI + eP) Q t^m == (t^m I + e^m P^m) t f.
-    plus = [
-        [PolyEps((t if r == c else 0, x)) for c, x in enumerate(row)] for r, row in enumerate(p)
-    ]
-    tm, cf = t**m, t * (f if type(f) is int else f.lc)
-    zeros = [0] * (m - 1)
+    qs = [[[x * s for x in row] for row in pk] for s, pk in zip(scales, powers)]
+    g = math.gcd(f, *(x for qk in qs for row in qk for x in row))
+    if g != 1:
+        f //= g
+        qs = [[[x // g for x in row] for row in qk] for qk in qs]
+    flat = [PolyEps(cs) for r in range(n) for cs in zip(*(qk[r] for qk in qs))]
+    d = Mat._of(*_shape(flat, PolyEps(f), n))
+    tm, cf = t**m, t * f
+    zero = Mat.zero(n)._p
+    targets = [[[tm * cf * x for x in row] for row in powers[0]]] + [zero] * (m - 1)
+    targets.append([[-cf * x for x in row] for row in powers[m]])
     identity_holds = all(
-        x * tm == PolyEps([tm * cf if r == c else 0, *zeros, -y * cf])
-        for r, (xr, yr) in enumerate(zip(_matmul(plus, q), powers[m]))
-        for c, (x, y) in enumerate(zip(xr, yr))
+        tm * (t * a + c) == y
+        for j, (qj, yj) in enumerate(zip(qs + [zero], targets))
+        for qr, pr, yr in zip(qj, _matmul(p, qs[j - 1]) if j else zero, yj)
+        for a, c, y in zip(qr, pr, yr)
     )
-    # the gap with R = delta (tI + eP)^-1, for any pair of I + eB:
-    # (I+eB)^-1 - D = (cf R - delta Q)/(delta f), cf = t f
+    # the gap with R = delta (tI + eP)^-1: (I+eB)^-1 - D = (cf R - delta Q)/(delta f)
+    plus = [[PolyEps((t if r == c else 0, x)) for c, x in enumerate(row)] for r, row in enumerate(p)]
     _, delta, r = _bareiss(plus, jordan=True)
-    # sum (cf R_ij - delta Q_ij)^2 on packed ints (all ints when B = 0)
-    pairs = [(x, y) for rr, qr in zip(r, q) for x, y in zip(rr, qr)]
-    cn, dn = _norm1(cf), _norm1(delta)
-    k = sum((cn * _norm1(x) + dn * _norm1(y)) ** 2 for x, y in pairs).bit_length() + 1
-    cv, dv = _pack(cf, k), _pack(delta, k)
-    s = sum((cv * _pack(x, k) - dv * _pack(y, k)) ** 2 for x, y in pairs)
-    gap_sq = _over(s if type(delta) is int else _unpack(s, k), (delta * f) ** 2)
+    # sum (cf R_ij - delta Q_ij)^2 on packed ints (Q all ints when B = 0)
+    pairs = [(x, y) for rr, qr in zip(r, d._p) for x, y in zip(rr, qr)]
+    dn = _norm1(delta)
+    k = sum((cf * _norm1(x) + dn * _norm1(y)) ** 2 for x, y in pairs).bit_length() + 1
+    dv = _pack(delta, k)
+    s = sum((cf * _pack(x, k) - dv * _pack(y, k)) ** 2 for x, y in pairs)
+    gap_sq = _over(_unpack(s, k), (delta * f) ** 2)
     return NeumannReport(m, d, identity_holds, gap_sq, is_infinitesimal(gap_sq))

@@ -6,7 +6,8 @@ document on stdout, and report problems on stderr.  Exit codes: 0 on
 success, 1 when a verification check fails, 2 on bad input (or a result
 too long to print).  Inputs are kept desk-scale: dimension <= 8 (checked
 before any entry is parsed), exponents of e and neumann --m <= 64,
-numbers of at most 4000 digits, and selftest --trials <= 1000.
+numbers of at most 4000 digits, selftest --trials in 1..1000 and
+--max-dim in 2..8 (no checker samples a dimension below 2).
 All sampling is seeded and the seed is echoed into the report, so
 identical inputs and seed produce byte-identical output.
 """
@@ -198,10 +199,10 @@ def cmd_demo(args):
 
 
 def cmd_selftest(args):
-    if args.max_dim is not None and args.max_dim > MAX_DIM:
-        raise InputError(f"--max-dim exceeds the limit {MAX_DIM}")
-    if args.trials is not None and args.trials > MAX_TRIALS:
-        raise InputError(f"--trials exceeds the limit {MAX_TRIALS}")
+    if args.max_dim is not None and not 2 <= args.max_dim <= MAX_DIM:
+        raise InputError(f"--max-dim must be between 2 and {MAX_DIM}")
+    if args.trials is not None and not 1 <= args.trials <= MAX_TRIALS:
+        raise InputError(f"--trials must be between 1 and {MAX_TRIALS}")
     results = run_all(seed=args.seed, trials=args.trials, max_dim=args.max_dim)
     ok = all(r.passed for r in results)
     _emit(

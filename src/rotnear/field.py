@@ -288,6 +288,13 @@ class PolyEps:
             cs.pop()
         self.coeffs = tuple(cs)
 
+    @classmethod
+    def _of(cls, cs):
+        """Unchecked: the caller guarantees cs holds ints, the last nonzero."""
+        p = object.__new__(cls)
+        p.coeffs = tuple(cs)
+        return p
+
     @property
     def degree(self):
         """Degree, with the convention degree(0) = -1."""
@@ -355,6 +362,8 @@ class PolyEps:
         return o + (-self)
 
     def __mul__(self, other):
+        if type(other) is int:  # normalized: a Fraction times an int may be integral
+            return PolyEps([c * other for c in self.coeffs])
         o = _as_poly(other)
         if o is None:
             return NotImplemented

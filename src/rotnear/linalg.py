@@ -40,13 +40,17 @@ bound B on the inputs' L1 norms.  For Bareiss, B = prod_i max(1, sum_j
 |p_ij|_1 + 1) bounds every entry the elimination holds, each a minor of
 [P | I] (Sylvester's identity).  A nonzero minor within the bound packs
 to a nonzero int, and a quotient exact in Z[e] stays exact in Z, so the
-pivots, the failing column and every division are unchanged.
+pivots, the failing column and every division are unchanged.  The
+PolyEps a kernel returns skip the constructor's normalization
+(`PolyEps._of`): `_unpack`'s digits and `_canonical`'s quotients, by the
+content and by the gcd, are ints with a nonzero last coefficient already.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .field import PolyEps, RatFuncEps, _as_poly, _cofactors, _digits
 from .field import _pack as _pack_coeffs
@@ -146,12 +150,12 @@ def _canonical(rows, d):
     if d.lc < 0:
         content = -content
     if content != 1:
-        d = PolyEps([c // content for c in d.coeffs])
-        flat = [PolyEps([c // content for c in x.coeffs]) for x in flat]
+        d = PolyEps._of([c // content for c in d.coeffs])
+        flat = [PolyEps._of([c // content for c in x.coeffs]) for x in flat]
     if d.degree > 0:
         h, quotients = _cofactors([d.coeffs] + [x.coeffs for x in flat])
         if h != [1]:
-            d, *flat = map(PolyEps, quotients)
+            d, *flat = map(PolyEps._of, quotients)
     return _shape(flat, d, n)
 
 
@@ -167,7 +171,7 @@ def _pack(x, k):
 
 def _unpack(v, k):
     """The PolyEps over Z[e] whose coefficients are the balanced base-2^k digits of v."""
-    return PolyEps(_digits(v, k))
+    return PolyEps._of(_digits(v, k))
 
 
 def _packed(rows, k):
@@ -178,11 +182,14 @@ def _matmul(p, q):
     """The product of two square matrices given as rows of ints or PolyEps;
     over Z[e] packed, with (PQ)_ij bounded by sum_l |p_il|_1 * max |q|_inf."""
     if type(p[0][0]) is not int or type(q[0][0]) is not int:
-        top = max((abs(c) for r in q for x in r for c in _as_poly(x).coeffs), default=0)
+        cs = [x for r in q for x in r]
+        if type(cs[0]) is not int:  # a pair over Z[e] holds PolyEps only
+            cs = [c for x in cs for c in x.coeffs]
+        top = max(map(abs, cs), default=0)
         k = (max(sum(map(_norm1, row)) for row in p) * top).bit_length() + 1
         return [[_unpack(v, k) for v in row] for row in _matmul(_packed(p, k), _packed(q, k))]
     cols = tuple(zip(*q))
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in p]
+    return [[sum(map(mul, row, col)) for col in cols] for row in p]
 
 
 def _over(num, den):
@@ -500,7 +507,7 @@ def _preserves(p, dd, g=None):
     for i, gi in enumerate(gcols):
         target = dd if g is None else g[i] * dd
         for j in range(i, len(cols)):
-            s = sum(x * y for x, y in zip(gi, cols[j]))
+            s = sum(map(mul, gi, cols[j]))
             if (s != target) if i == j else s:
                 return False
     return True

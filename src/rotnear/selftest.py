@@ -383,7 +383,7 @@ def check_field_oracle(seed=0, trials=500, max_deg=6):
 
 
 def run_all(seed=0, trials=None, max_dim=None):
-    """Run every checker.  `trials` overrides each checker's sample
+    """Run every checker.  `trials` >= 1 overrides each checker's sample
     count; `max_dim` caps the sampled dimensions (each checker keeps at
     least its smallest dimension so it stays runnable)."""
 
@@ -394,7 +394,7 @@ def run_all(seed=0, trials=None, max_dim=None):
         return capped or (base[0],)
 
     def count(base):
-        return base if trials is None else max(1, trials)
+        return base if trials is None else trials
 
     return [
         check_cayley_roundtrip(seed, count(200), dims((2, 3, 4, 5))),

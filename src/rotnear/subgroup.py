@@ -34,9 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .cayley import infinitesimal_rotation
-from .field import eps_order, format_elem, is_infinitesimal
+from .field import PolyEps, eps_order, format_elem, is_infinitesimal
 from .linalg import Mat, Vec, _over
 from .quadspace import Isometry, compose, reflect
 
@@ -77,7 +78,8 @@ def in_n(sp, iso):
     The certificate frob_sq(I - sigma) is computed as 2 (n - tr sigma),
     which equals it because sigma^T sigma = I; with sigma = P/d its
     canonical pair, 2 (n d - tr P) / d is reduced once, giving the same
-    canonical field element.
+    canonical field element.  The numerator is formed coefficient by
+    coefficient over Z[e], as one list (one int over Z).
     """
     _require_identity_form(sp)
     if not isinstance(iso, Isometry) or iso.sp.d != sp.d:
@@ -86,7 +88,9 @@ def in_n(sp, iso):
         raise ValueError("rotation (determinant 1) required")
     n = sp.n
     p, d = iso.m._p, iso.m._d
-    cert = _over(2 * (n * d - sum(p[i][i] for i in range(n))), d)
+    cols = [(x,) if type(x) is int else x.coeffs for x in (d, *(p[i][i] for i in range(n)))]
+    cs = [2 * (n * c - sum(rest)) for c, *rest in zip_longest(*cols, fillvalue=0)]
+    cert = _over(cs[0] if type(d) is int else PolyEps(cs), d)
     return NVerdict(is_infinitesimal(cert), cert, eps_order(cert))
 
 

@@ -239,3 +239,31 @@ def test_neumann_identity_matches_the_mat_expression():
             assert rep.identity_holds == ((i + eps * b) @ rep.d == i + (eps**m) * (b**m))
             assert rep.identity_holds
             assert rep.gap_sq == frob_sq(inverse(i + eps * b) - rep.d)
+
+
+def test_neumann_report_against_public_mat_arithmetic():
+    # seeded rational skew B at n = 1..5, zero included, with denominators
+    # t > 1; every claim of the report recomputed with public Mat arithmetic
+    rng = random.Random(34)
+    bs = [Mat.zero(n) for n in (1, 2, 3)]
+    for n in (2, 3, 4, 5):
+        bs.append(random_skew(rng, n))
+        bs.append(random_skew(rng, n) * Fraction(rng.randint(1, 5), rng.randint(2, 7)))
+    # P^3 = -5P for t = 5: the series coefficients share a content with t^(m-1)
+    bs.append(Mat([[0, 0, 2], [0, 0, -1], [-2, 1, 0]]) * Fraction(1, 5))
+    for b in bs:
+        i = Mat.identity(b.n)
+        plus = i + eps * b
+        for m in (1, 3, 5, 7, 9):
+            rep = neumann_check(b, m)
+            assert plus @ rep.d == i + eps**m * b**m
+            assert rep.identity_holds
+            series, term = i, i
+            for _ in range(m - 1):
+                term = term @ (-eps * b)
+                series = series + term
+            assert rep.d == series
+            assert rep.gap_sq == frob_sq(inverse(plus) - rep.d)
+            constant = all(isinstance(x, Fraction) or x == x.evaluate(0) for x in rep.d.entries())
+            assert (type(rep.d._d) is int) == constant
+            assert constant == (m == 1 or b == Mat.zero(b.n))

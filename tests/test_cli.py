@@ -103,6 +103,24 @@ def test_selftest_trials_guard_runs_no_checker(capsys, monkeypatch):
     assert json.loads(out)["trials"] == cli.MAX_TRIALS
 
 
+def test_selftest_lower_bounds_run_no_checker(capsys, monkeypatch):
+    from rotnear import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_all", lambda **kw: calls.append(kw) or [])
+    for argv, word in (
+        (["--trials", "0"], "trials"),
+        (["--trials", "-5", "--max-dim", "2"], "trials"),
+        (["--max-dim", "1"], "max-dim"),
+        (["--max-dim", "-3"], "max-dim"),
+    ):
+        code, out, err = run(capsys, ["selftest", *argv])
+        assert code == 2 and word in err and out == "" and calls == []
+    code, out, _ = run(capsys, ["selftest", "--trials", "1", "--max-dim", "2"])
+    assert code == 0 and calls == [{"seed": 0, "trials": 1, "max_dim": 2}]
+    assert json.loads(out)["max_dim"] == 2
+
+
 def test_in_n_identity(tmp_path, capsys):
     ident = {"n": 3, "entries": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
     code, out, _ = run(capsys, ["in-n", write(tmp_path, "m.json", ident)])

@@ -12,7 +12,9 @@ import pytest
 import rotnear.field
 from rotnear.cayley import cayley, neumann_check
 from rotnear.field import PolyEps, RatFuncEps, eps, format_elem
-from rotnear.linalg import Mat, SingularMatrixError, Vec, _canonical, inverse, mat_to_json
+from rotnear.linalg import (
+    Mat, SingularMatrixError, Vec, _canonical, _pack, _unpack, inverse, mat_to_json,
+)
 from rotnear.quadspace import BilinearSpace, compose
 from rotnear.sampling import random_poly, random_ratfunc
 
@@ -168,6 +170,49 @@ def test_canonical_folds_pair_gcds_when_the_heuristic_fails(monkeypatch):
     want = Mat([[RatFuncEps(x, d) for x in row] for row in rows])
     assert Mat._of(*_canonical(rows, d)) == want
     assert calls
+
+
+def assert_trusted(x):
+    """x holds what the normalizing constructor would make of its coefficients."""
+    assert type(x.coeffs) is tuple and x == PolyEps(list(x.coeffs))
+    assert all(type(c) is int for c in x.coeffs) and (not x.coeffs or x.coeffs[-1])
+
+
+def test_trusted_results_are_normalized(monkeypatch):
+    # pairs with zero entries, negative content, constant d and common
+    # factors that GCDHEU removes; every PolyEps that _canonical returns
+    # is built unchecked, so it must equal its normalized twin
+    rng = random.Random(76)
+    reduced = 0
+    for _ in range(120):
+        n = rng.randint(1, 4)
+        rows = [[PolyEps([rng.randint(-5, 5) for _ in range(rng.randint(0, 3))]) for _ in range(n)]
+                for _ in range(n)]
+        d = PolyEps([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]) or PolyEps(-6)
+        f = z_e_factor(rng) * rng.choice((1, -2, -3))
+        p, e = _canonical([[f * x for x in row] for row in rows], f * d)
+        assert_canonical(p, e)
+        for x in [e, *(x for row in p for x in row)]:
+            if type(x) is not int:
+                assert_trusted(x)
+        reduced += isinstance(f, PolyEps) and f.degree > 0
+    assert reduced >= 20
+    for v in (0, 1, -1, 2**70 + 3, -(2**70) - 3, rng.getrandbits(300) - 2**299):
+        for k in (2, 5, 64):
+            assert_trusted(_unpack(v, k))
+            assert _pack(_unpack(v, k), k) == v
+    assert _unpack(0, 7).coeffs == ()
+
+    # PolyEps * int scales the coefficients through the normalizing
+    # constructor, without a convolution (and so without _as_poly)
+    p = PolyEps([Fraction(1, 2), 3, Fraction(-5, 2)])
+    want = {c: p * PolyEps(c) for c in (2, -3, 0)}
+    monkeypatch.setattr(rotnear.field, "_as_poly", None)
+    assert PolyEps.__rmul__ is PolyEps.__mul__
+    for c, w in want.items():
+        assert p * c == w and c * p == w
+        assert all(type(x) is int or x.denominator > 1 for x in (p * c).coeffs)
+    assert (p * 2).coeffs == (1, 6, -5) and (p * 0).coeffs == ()
 
 
 def test_constant_qe_matrix_equals_its_rational_twin():
