@@ -2,10 +2,14 @@
 near the identity.
 
 The map is an involution exchanging skew-symmetric matrices with
-rotations that do not have eigenvalue -1.  Feeding it e*B for a nonzero
-rational skew-symmetric B produces, over Q(e), a rotation A != +-I with
-frob_sq(I - A) infinitesimal of e-order exactly 2: every guarantee is
-verified exactly before `infinitesimal_rotation` returns.
+rotations that do not have eigenvalue -1; `cayley` computes it with one
+fraction-free elimination.  Feeding it e*B for a nonzero rational
+skew-symmetric B produces, over Q(e), a rotation A != +-I with
+frob_sq(I - A) infinitesimal of e-order exactly 2.
+`infinitesimal_rotation` verifies every guarantee exactly on the pair it
+returns, with the tests the library applies to any isometry a user
+passes in: the `Isometry` constructor, pair equality and the trace
+identity of `subgroup.in_n`.
 
 `neumann_check` verifies the truncated-geometric-series identity
 
@@ -22,8 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import PolyEps, eps, is_infinitesimal
-from .linalg import Mat, SingularMatrixError, _bareiss, _canonical, _matmul, _over, _preserves
-from .linalg import _norm1, _pack, _shape, _sum_sq, _unpack
+from .linalg import Mat, SingularMatrixError, _bareiss, _canonical, _matmul, _norm1, _over
+from .linalg import _pack, _shape, _unpack
+from .quadspace import BilinearSpace, Isometry
 
 __all__ = [
     "CayleyObstructionError",
@@ -39,20 +44,18 @@ class CayleyObstructionError(ArithmeticError):
     """I + A is singular: -1 is an eigenvalue obstruction."""
 
 
-def _cayley_split(a):
-    """The Cayley image of a = P/d, unreduced: returns (N, delta, M, sign)
-    with cayley(a) = N/delta, M = dI - P and det(dI + P) = sign * delta.
-
-    The image is (I - a)(I + a)^-1 = 2 (I + a)^-1 - I, and
-    (I + a)^-1 = d (dI + P)^-1.  Fraction-free Gauss-Jordan on dI + P
-    gives its last pivot delta and R = delta (dI + P)^-1, so
-    N = 2d R - delta I, which equals M R exactly.
-    """
+def cayley(a):
+    """Apply the Cayley map exactly.  With a = P/d its canonical pair, the
+    image is (I - a)(I + a)^-1 = 2 (I + a)^-1 - I, and
+    (I + a)^-1 = d (dI + P)^-1.  One fraction-free Gauss-Jordan
+    elimination on dI + P gives its last pivot delta and
+    R = delta (dI + P)^-1, so the image is (2d R - delta I) / delta,
+    canonicalized once as a pair.  Raises CayleyObstructionError when
+    I + A is singular."""
     p, d = a._p, a._d
     plus = [[d + x if i == j else x for j, x in enumerate(row)] for i, row in enumerate(p)]
-    minus = [[d - x if i == j else -x for j, x in enumerate(row)] for i, row in enumerate(p)]
     try:
-        sign, delta, r = _bareiss(plus, jordan=True)
+        _, delta, r = _bareiss(plus, jordan=True)
     except SingularMatrixError as exc:
         raise CayleyObstructionError(
             "-1 is an eigenvalue obstruction: I+A is singular"
@@ -62,16 +65,6 @@ def _cayley_split(a):
         [d2 * x - delta if i == j else d2 * x for j, x in enumerate(row)]
         for i, row in enumerate(r)
     ]
-    return num, delta, minus, sign
-
-
-def cayley(a):
-    """Apply the Cayley map exactly: with a = P/d its canonical pair, the
-    image is 2 (I + a)^-1 - I = (2d R - delta I) / delta for
-    R = delta (dI + P)^-1 from one fraction-free Gauss-Jordan
-    elimination, canonicalized once as a pair.  Raises
-    CayleyObstructionError when I + A is singular."""
-    num, delta, _, _ = _cayley_split(a)
     return Mat._of(*_canonical(num, delta))
 
 
@@ -91,33 +84,31 @@ def _require_rational_skew(b, *, nonzero):
 def infinitesimal_rotation(b):
     """Rotation A = cayley(e*B) over Q(e), for nonzero rational skew B.
 
-    Checked exactly before returning, on A = N/delta before the pair is
-    canonicalized: A != +-I (N != +-delta I), A^T A = I
-    (N^T N = delta^2 I), det A = det(I - eB) / det(I + eB) = 1, and
-    frob_sq(I - A) = frob_sq(delta I - N) / delta^2 is infinitesimal.
+    Checked exactly before returning, on the canonical pair A = P/d that
+    is returned, with the tests every isometry a user passes in gets:
+    the `Isometry` constructor checks A^T A = I (P^T P == d^2 I) and
+    reads det A at e = 0, which must be +1; A != +-I by pair equality;
+    and frob_sq(I - A), which for an orthogonal A equals
+    2 (n d - tr P) / d (the trace identity `in_n` uses), is
+    infinitesimal.
     """
     _require_rational_skew(b, nonzero=True)
-    num, delta, minus, sign = _cayley_split(eps * b)
-
-    def shifted(s):  # N - s*delta*I
-        return [
-            [x - s * delta if i == j else x for j, x in enumerate(row)]
-            for i, row in enumerate(num)
-        ]
-
-    gap = shifted(1)
-    dd = delta * delta
-    minus_sign, minus_delta, _ = _bareiss(minus)
-    ok = (
-        any(map(any, gap))
-        and any(map(any, shifted(-1)))
-        and _preserves(num, dd)
-        and minus_sign * minus_delta == sign * delta
-        and is_infinitesimal(_over(_sum_sq([x for row in gap for x in row]), dd))
-    )
-    if not ok:
+    a = cayley(eps * b)
+    n = a.n
+    try:
+        rotation = Isometry(BilinearSpace.identity_form(n), a).is_rotation
+    except (ValueError, ArithmeticError):
+        rotation = False
+    i = Mat.identity(n)
+    p, d = a._p, a._d
+    if not (
+        rotation
+        and a != i
+        and a != -i
+        and is_infinitesimal(_over(2 * (n * d - sum(p[k][k] for k in range(n))), d))
+    ):
         raise ArithmeticError("near-identity construction failed its guarantees")
-    return Mat._of(*_canonical(num, delta))
+    return a
 
 
 @dataclass(frozen=True)

@@ -44,11 +44,13 @@ def _read_json(path):
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(str(exc)) from exc
+    # ValueError covers syntax errors and integers past Python's digit
+    # limit; RecursionError covers arrays or objects nested too deeply
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
 
 

@@ -479,16 +479,15 @@ def inverse(a):
     return Mat._of(*_canonical([[d * x for x in row] for row in r], delta))
 
 
-def _sum_sq(xs):
-    """The sum of the squares of xs, PolyEps over Z[e], on packed ints."""
-    k = sum(_norm1(x) ** 2 for x in xs).bit_length() + 1
-    return _unpack(sum(v * v for v in (_pack(x, k) for x in xs)), k)
-
-
 def frob_sq(a):
-    """Squared Frobenius norm: the sum of the squares of the entries."""
+    """Squared Frobenius norm: the sum of the squares of the entries, on
+    packed ints over Z[e]."""
     flat = [x for row in a._p for x in row]
-    s = sum(x * x for x in flat) if type(a._d) is int else _sum_sq(flat)
+    if type(a._d) is int:
+        s = sum(x * x for x in flat)
+    else:
+        k = sum(_norm1(x) ** 2 for x in flat).bit_length() + 1
+        s = _unpack(sum(v * v for v in (_pack(x, k) for x in flat)), k)
     return _over(s, a._d * a._d)
 
 

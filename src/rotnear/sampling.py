@@ -77,7 +77,9 @@ def random_nonidentity_rotation(sp, rng, bound=2):
 
 def random_member(sp, rng, bound=3):
     """Random element of the near-identity subgroup: cayley(e * skew)."""
-    return Isometry(sp, infinitesimal_rotation(random_skew(rng, sp.n, bound)))
+    a = infinitesimal_rotation(random_skew(rng, sp.n, bound))
+    # infinitesimal_rotation has checked A^T A = I and det A = 1
+    return Isometry._built(sp, a, 1) if sp.is_identity_form else Isometry(sp, a)
 
 
 def random_poly(rng, max_deg, bound=9, nonzero=False):

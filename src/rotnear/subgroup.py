@@ -53,7 +53,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NVerdict:
-    """Membership verdict: the certificate is frob_sq(I - sigma)."""
+    """Membership verdict: the certificate is frob_sq(I - sigma), and
+    order_at_zero is its e-order, twice the level of sigma (the least k
+    with sigma = I mod e^k), so the level is order_at_zero // 2."""
 
     member: bool
     certificate: object
@@ -79,7 +81,10 @@ def in_n(sp, iso):
     which equals it because sigma^T sigma = I; with sigma = P/d its
     canonical pair, 2 (n d - tr P) / d is reduced once, giving the same
     canonical field element.  The numerator is formed coefficient by
-    coefficient over Z[e], as one list (one int over Z).
+    coefficient over Z[e], as one list (one int over Z).  A sum of
+    squares does not cancel, so the certificate's e-order is exactly
+    twice the level of sigma in N's congruence filtration
+    (N_k = {sigma = I mod e^k}): the level is `order_at_zero // 2`.
     """
     _require_identity_form(sp)
     if not isinstance(iso, Isometry) or iso.sp.d != sp.d:

@@ -14,7 +14,7 @@ from rotnear.cayley import (
     is_skew,
     neumann_check,
 )
-from rotnear.field import PolyEps, eps, eps_order, is_infinitesimal
+from rotnear.field import eps, eps_order, is_infinitesimal
 from rotnear.linalg import Mat, det, frob_sq, inverse, is_orthogonal
 from rotnear.quadspace import BilinearSpace
 from rotnear.sampling import random_rotation, random_skew
@@ -111,36 +111,28 @@ def test_infinitesimal_rotation_rejects_bad_input():
 
 
 def test_infinitesimal_rotation_guarantee_checks_fire(monkeypatch):
-    # Each forged Cayley image breaks only the guarantee named beside it,
-    # except A = -I, which is also far from I.  (The package re-exports
-    # the function `cayley` over the module's name.)
+    # Each forged Cayley image breaks the guarantee named beside it; A = -I
+    # and an orthogonal A of det -1 are also far from I, since det is +1
+    # near I.  (The package re-exports the function `cayley` over the
+    # module's name.)
     cay = importlib.import_module("rotnear.cayley")
 
-    real = cay._cayley_split
     b = Mat([[0, 1, 2], [-1, 0, 0], [-2, 0, 0]])
-    num, delta, minus, sign = real(eps * b)
-    n = b.n
-    e = PolyEps((0, 1))
-
-    def scaled(rows):
-        return [[delta * x for x in row] for row in rows]
-
-    def ident(s):
-        return [[s if i == j else 0 for j in range(n)] for i in range(n)]
-
+    real = cayley(eps * b)
+    i = Mat.identity(3)
     forged = {
-        "A = I": (scaled(ident(1)), delta, minus, sign),
-        "A = -I": (scaled(ident(-1)), delta, minus, sign),
-        "not orthogonal": ([[x * (1 + e) for x in row] for row in num], delta, minus, sign),
-        "det(I - eB) != det(I + eB)": (num, delta, minus, -sign),
-        "not infinitesimal": (scaled([[0, 1, 0], [-1, 0, 0], [0, 0, 1]]), delta, minus, sign),
+        "A = I": i,
+        "A = -I": -i,
+        "not orthogonal": (1 + eps) * real,
+        "det A = -1": Mat.diag([-1, 1, 1]) @ real,
+        "not infinitesimal": Mat([[0, 1, 0], [-1, 0, 0], [0, 0, 1]]),
     }
-    for what, parts in forged.items():
-        monkeypatch.setattr(cay, "_cayley_split", lambda a, parts=parts: parts)
+    for what, image in forged.items():
+        monkeypatch.setattr(cay, "cayley", lambda a, image=image: image)
         with pytest.raises(ArithmeticError, match="failed its guarantees"):
             infinitesimal_rotation(b)
-    monkeypatch.setattr(cay, "_cayley_split", real)
-    assert infinitesimal_rotation(b) == cayley(eps * b)
+    monkeypatch.undo()
+    assert infinitesimal_rotation(b) == real
 
 
 def test_infinitesimal_rotation_3x3_block():

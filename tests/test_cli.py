@@ -220,6 +220,37 @@ def test_invalid_json_is_input_error(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+MALFORMED = {
+    "utf8": b"\xff{",
+    "digits": b'{"n": ' + b"7" * 5000 + b', "entries": [["1"]]}',
+    "nesting": b"[" * 100_000,
+}
+
+
+def test_malformed_files_exit_2_without_a_traceback(tmp_path, capsys):
+    # invalid UTF-8, an integer past Python's digit limit and deep nesting,
+    # as the matrix and as the --form file
+    ident = write(tmp_path, "i.json", {"n": 2, "entries": [["1", "0"], ["0", "1"]]})
+    for name, raw in MALFORMED.items():
+        p = tmp_path / f"{name}.json"
+        p.write_bytes(raw)
+        for argv in (["in-n", str(p)], ["spinor", ident, "--form", str(p)]):
+            code, out, err = run(capsys, argv)
+            assert code == 2, (name, argv)
+            assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_malformed_stdin_exits_2(capsys, monkeypatch):
+    import io
+
+    for raw in MALFORMED.values():
+        stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, ["cayley"])
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+
 def test_size_guard_dimension(tmp_path, capsys):
     n = 9
     big = {"n": n, "entries": [["0"] * n for _ in range(n)]}

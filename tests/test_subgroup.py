@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from rotnear.cayley import cayley, infinitesimal_rotation
-from rotnear.field import eps, eps_order, format_elem, is_infinitesimal
+from rotnear.cayley import CayleyObstructionError, cayley, infinitesimal_rotation
+from rotnear.field import eps, eps_order, format_elem, is_infinitesimal, is_square
 from rotnear.linalg import Mat, Vec, frob_sq
-from rotnear.quadspace import BilinearSpace, Isometry, reflect
+from rotnear.quadspace import BilinearSpace, Isometry, reflect, spinor_norm
 from rotnear.sampling import (
     random_member,
     random_nonidentity_rotation,
@@ -169,3 +169,46 @@ def test_certificate_matches_the_frobenius_oracle():
             assert format_elem(v.certificate) == format_elem(oracle)
             assert v.member == is_infinitesimal(oracle)
             assert v.order_at_zero == eps_order(oracle)
+
+
+def test_level_of_cayley_images_is_half_the_certificate_order():
+    # sigma = cayley(e^k B) has level exactly k in N's congruence
+    # filtration; the oracle reads the level off the entries of I - sigma
+    rng = random.Random(37)
+    for n in range(3, 6):
+        sp = BilinearSpace.identity_form(n)
+        i = Mat.identity(n)
+        for k in range(1, 4):
+            sigma = Isometry(sp, cayley(eps**k * random_skew(rng, n)))
+            level = min(eps_order(x) for x in (i - sigma.m).entries() if x != 0)
+            v = in_n(sp, sigma)
+            assert level == k
+            assert v.member and v.order_at_zero == 2 * k
+
+
+def test_membership_matches_the_cayley_map_oracle():
+    # for sigma without eigenvalue -1, sigma is in N exactly when its
+    # Cayley image, a skew matrix, is infinitesimal
+    rng = random.Random(38)
+    verdicts = []
+    for n in (3, 4):
+        sp = BilinearSpace.identity_form(n)
+        pool = [random_member(sp, rng) for _ in range(3)]
+        pool += [random_nonidentity_rotation(sp, rng) for _ in range(3)]
+        for sigma in pool + [s @ t for s in pool for t in pool]:
+            try:
+                skew = cayley(sigma.m)
+            except CayleyObstructionError:
+                continue
+            member = in_n(sp, sigma).member
+            assert member == is_infinitesimal(frob_sq(skew))
+            verdicts.append(member)
+    assert len(verdicts) > 60 and 0 < sum(verdicts) < len(verdicts)
+
+
+def test_pythagorean_gap():
+    # Q(e) is not pythagorean: 1 + e^2 is a sum of squares but not a
+    # square, and the inside witness has that spinor class
+    assert not is_square(1 + eps**2)
+    inside, _ = witnesses(SP3)
+    assert str(spinor_norm(SP3, inside)) == "1+e^2"
