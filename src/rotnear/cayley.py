@@ -16,7 +16,23 @@ identity of `subgroup.in_n`.
     (I + eB) (I - eB + e^2 B^2 - ... + e^{m-1} B^{m-1}) = I + e^m B^m
 
 for odd m, and reports whether the truncation D differs from the true
-inverse of I + eB by a matrix of infinitesimal squared norm.
+inverse of I + eB by a matrix of infinitesimal squared norm.  That gap
+needs no elimination, only that B is skew, which
+`_require_rational_skew` enforces.  Then (I + eB)^-T = (I - eB)^-1, and
+with C = -B^2 = B^T B, which commutes with B,
+
+    frob_sq((I + eB)^-1 - D) = tr(X^T X),  X = (-eB)^m (I + eB)^-1,
+                             = e^{2m} tr(C^m (I + e^2 C)^-1).
+
+Write y = -e^2, q(y) = det(I - yC) and p_j = tr(C^j).  The resolvent
+trace tr((I - yC)^-1) = n + sum_{j>=1} p_j y^j equals n - y q'(y)/q(y),
+and for odd m, e^{2m} = -y^m, so
+
+    gap_sq = [q(y) sum_{j=1}^{m-1} p_j y^j + y q'(y)] / q(y),
+
+a quotient of polynomials whose numerator vanishes below e^{2m}.  The
+power sums p_j come from the powers of B the identity check already
+forms, and the coefficients of q from Newton's identities.
 """
 
 from __future__ import annotations
@@ -50,8 +66,10 @@ def cayley(a):
     (I + a)^-1 = d (dI + P)^-1.  One fraction-free Gauss-Jordan
     elimination on dI + P gives its last pivot delta and
     R = delta (dI + P)^-1, so the image is (2d R - delta I) / delta,
-    canonicalized once as a pair.  Raises CayleyObstructionError when
-    I + A is singular."""
+    canonicalized once as a pair.  Over Z[e], 2d R - delta I is formed on
+    packed ints, at a width past every coefficient's bound
+    2 |d|_1 max |R_ij|_inf + |delta|_inf.  Raises CayleyObstructionError
+    when I + A is singular."""
     p, d = a._p, a._d
     plus = [[d + x if i == j else x for j, x in enumerate(row)] for i, row in enumerate(p)]
     try:
@@ -60,11 +78,20 @@ def cayley(a):
         raise CayleyObstructionError(
             "-1 is an eigenvalue obstruction: I+A is singular"
         ) from exc
-    d2 = 2 * d
-    num = [
-        [d2 * x - delta if i == j else d2 * x for j, x in enumerate(row)]
-        for i, row in enumerate(r)
-    ]
+    if type(d) is int:
+        d2 = 2 * d
+        num = [
+            [d2 * x - delta if i == j else d2 * x for j, x in enumerate(row)]
+            for i, row in enumerate(r)
+        ]
+    else:
+        top = max((abs(c) for row in r for x in row for c in x.coeffs), default=0)
+        w = (2 * _norm1(d) * top + max(map(abs, delta.coeffs))).bit_length() + 1
+        dv, delta_v = 2 * _pack(d, w), _pack(delta, w)
+        num = [
+            [_unpack(dv * _pack(x, w) - (delta_v if i == j else 0), w) for j, x in enumerate(row)]
+            for i, row in enumerate(r)
+        ]
     return Mat._of(*_canonical(num, delta))
 
 
@@ -131,7 +158,21 @@ def neumann_check(b, m):
     I + eB = (tI + eP)/t and B^m = -(-P)^m / t^m for odd m, the identity
     holds exactly when, per power e^j (j = 0..m, Q_-1 = Q_m = 0, cf = t f),
         t^m (t Q_j + P Q_(j-1)) == [j = 0] t^m cf I - [j = m] cf (-P)^m,
-    checked on ints with P Q_(j-1) formed as its own product."""
+    checked on ints with P Q_(j-1) formed as its own product.
+
+    The gap is frob_sq((I+eB)^-1 - D) for the same truncated series D
+    whose identity `identity_holds` certifies, read off power sums by
+    the trace formula of the module docstring, which needs B skew
+    (`_require_rational_skew` enforces it).  With S = -P^2 = P^T P and
+    C = S/t^2, the power sums N_j = tr(S^j) = (-1)^j tr(P^(2j)) are the
+    squared Frobenius norms of the powers (-P)^j, formed up to
+    max(m, n).  Newton's identities k E_k = sum_{i=1..k} (-1)^(i-1)
+    E_(k-i) N_i give E_k = e_k(S), each division checked exact.  Over
+    t^(2L), L = n + m - 1, the gap is num/den with
+        den = sum_k E_k t^(2(L-k)) e^(2k),
+        num = sum_k k E_k t^(2(L-k)) e^(2k)
+              + sum_{k, 1<=j<m} (-1)^j E_k N_j t^(2(L-k-j)) e^(2(k+j)),
+    and every coefficient of num below e^(2m) must vanish."""
     if not isinstance(m, int) or m < 1 or m % 2 == 0:
         raise ValueError("m must be an odd positive integer")
     _require_rational_skew(b, nonzero=False)
@@ -139,7 +180,7 @@ def neumann_check(b, m):
     p, t = b._p, b._d
     neg = [[-x for x in row] for row in p]
     powers = [Mat.identity(n)._p]
-    for _ in range(m):
+    for _ in range(max(m, n)):
         powers.append(_matmul(powers[-1], neg))
     f = t ** (m - 1)
     scales = [t ** (m - 1 - k) for k in range(m)]
@@ -160,14 +201,23 @@ def neumann_check(b, m):
         for qr, pr, yr in zip(qj, _matmul(p, qs[j - 1]) if j else zero, yj)
         for a, c, y in zip(qr, pr, yr)
     )
-    # the gap with R = delta (tI + eP)^-1: (I+eB)^-1 - D = (cf R - delta Q)/(delta f)
-    plus = [[PolyEps((t if r == c else 0, x)) for c, x in enumerate(row)] for r, row in enumerate(p)]
-    _, delta, r = _bareiss(plus, jordan=True)
-    # sum (cf R_ij - delta Q_ij)^2 on packed ints (Q all ints when B = 0)
-    pairs = [(x, y) for rr, qr in zip(r, d._p) for x, y in zip(rr, qr)]
-    dn = _norm1(delta)
-    k = sum((cf * _norm1(x) + dn * _norm1(y)) ** 2 for x, y in pairs).bit_length() + 1
-    dv = _pack(delta, k)
-    s = sum((cf * _pack(x, k) - dv * _pack(y, k)) ** 2 for x, y in pairs)
-    gap_sq = _over(_unpack(s, k), (delta * f) ** 2)
+    # (-1)^j N_j, with N_j the squared Frobenius norm of (-P)^j
+    signed = [sum(x * x for row in pk for x in row) * (-1) ** j for j, pk in enumerate(powers)]
+    es = [1]
+    for k in range(1, n + 1):
+        ek, rem = divmod(-sum(es[k - i] * signed[i] for i in range(1, k + 1)), k)
+        if rem:
+            raise ArithmeticError("Newton's identities: inexact division")
+        es.append(ek)
+    span = n + m - 1
+    t2 = [t ** (2 * i) for i in range(span + 1)]
+    num, den = [0] * (2 * span + 1), [0] * (2 * span + 1)
+    for k, ek in enumerate(es):
+        den[2 * k] = ek * t2[span - k]
+        num[2 * k] += k * ek * t2[span - k]
+        for j in range(1, m):
+            num[2 * (k + j)] += ek * signed[j] * t2[span - k - j]
+    if any(num[: 2 * m]):
+        raise ArithmeticError("inverse gap: a coefficient below e^2m does not vanish")
+    gap_sq = _over(PolyEps(num), PolyEps(den))
     return NeumannReport(m, d, identity_holds, gap_sq, is_infinitesimal(gap_sq))

@@ -19,7 +19,7 @@ import json
 import sys
 
 from .cayley import CayleyObstructionError, cayley, is_skew, neumann_check
-from .field import MAX_DEGREE, ElemSyntaxError, FormatLimitError, SquarefreeBoundError, format_elem
+from .field import MAX_DEGREE, MAX_DIGITS, ElemSyntaxError, FormatLimitError, SquarefreeBoundError, format_elem
 from .linalg import is_orthogonal, mat_from_json, mat_to_json
 from .quadspace import BilinearSpace, Isometry, decompose, spinor_norm
 from .selftest import run_all
@@ -37,6 +37,13 @@ class CheckFailure(Exception):
     """A verification check failed; exits with status 1."""
 
 
+def _parse_int(text):
+    digits = len(text) - text.startswith("-")
+    if digits > MAX_DIGITS:
+        raise ValueError(f"integer with {digits} digits exceeds the limit {MAX_DIGITS}")
+    return int(text)
+
+
 def _read_json(path):
     try:
         if path == "-":
@@ -46,10 +53,10 @@ def _read_json(path):
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(str(exc)) from exc
-    # ValueError covers syntax errors and integers past Python's digit
-    # limit; RecursionError covers arrays or objects nested too deeply
+    # ValueError covers syntax errors and integers past MAX_DIGITS;
+    # RecursionError covers arrays or objects nested too deeply
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_parse_int)
     except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
 

@@ -14,10 +14,10 @@ from rotnear.cayley import (
     is_skew,
     neumann_check,
 )
-from rotnear.field import eps, eps_order, is_infinitesimal
+from rotnear.field import PolyEps, RatFuncEps, eps, eps_order, is_infinitesimal
 from rotnear.linalg import Mat, det, frob_sq, inverse, is_orthogonal
 from rotnear.quadspace import BilinearSpace
-from rotnear.sampling import random_rotation, random_skew
+from rotnear.sampling import random_poly, random_rotation, random_skew
 
 B2 = Mat([[0, 1], [-1, 0]])
 
@@ -243,10 +243,15 @@ def test_neumann_report_against_public_mat_arithmetic():
         bs.append(random_skew(rng, n) * Fraction(rng.randint(1, 5), rng.randint(2, 7)))
     # P^3 = -5P for t = 5: the series coefficients share a content with t^(m-1)
     bs.append(Mat([[0, 0, 2], [0, 0, -1], [-2, 1, 0]]) * Fraction(1, 5))
-    for b in bs:
+    cases = [(b, (1, 3, 5, 7, 9)) for b in bs]
+    # n = 6..8 with m < n: the gap reads power sums past the series' powers
+    for n in (6, 7, 8):
+        cases.append((random_skew(rng, n), (1, 3, 5)))
+        cases.append((random_skew(rng, n) * Fraction(rng.randint(1, 5), rng.randint(2, 7)), (1, 3, 5)))
+    for b, ms in cases:
         i = Mat.identity(b.n)
         plus = i + eps * b
-        for m in (1, 3, 5, 7, 9):
+        for m in ms:
             rep = neumann_check(b, m)
             assert plus @ rep.d == i + eps**m * b**m
             assert rep.identity_holds
@@ -259,3 +264,65 @@ def test_neumann_report_against_public_mat_arithmetic():
             constant = all(isinstance(x, Fraction) or x == x.evaluate(0) for x in rep.d.entries())
             assert (type(rep.d._d) is int) == constant
             assert constant == (m == 1 or b == Mat.zero(b.n))
+
+
+def test_neumann_gap_self_checks_fire(monkeypatch):
+    # the power-sum gap holds for skew B only; with the skew test switched
+    # off, a nilpotent B = [[0, c], [0, 0]] has N_1 = c^2 and N_j = 0 past
+    # it, so Newton's E_2 = c^4/2 is inexact for c = 1, and for c = 2 the
+    # numerator keeps a coefficient below e^(2m) once m > n + 1
+    cay = importlib.import_module("rotnear.cayley")
+    monkeypatch.setattr(cay, "_require_rational_skew", lambda b, nonzero: None)
+    with pytest.raises(ArithmeticError, match="Newton"):
+        neumann_check(Mat([[0, 1], [0, 0]]), 3)
+    neumann_check(Mat([[0, 2], [0, 0]]), 3)
+    with pytest.raises(ArithmeticError, match="below e\\^2m"):
+        neumann_check(Mat([[0, 2], [0, 0]]), 5)
+
+
+def _at(a, t):
+    return Mat([[x.evaluate(t) if isinstance(x, RatFuncEps) else x for x in row] for row in a.rows])
+
+
+def _typed_skew(rng, n, kind):
+    # entries of degree 1..3 over denominators that are shared by every
+    # entry, repeated from a pool of two, or constant
+    pool = [random_poly(rng, 3, bound=5, nonzero=True) for _ in range(2)]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            num = PolyEps([rng.randint(-5, 5) for _ in range(rng.randint(2, 4))])
+            if kind == "shared":
+                den = pool[0]
+            elif kind == "repeated":
+                den = rng.choice(pool)
+            else:
+                den = PolyEps(rng.randint(1, 6))
+            rows[i][j] = RatFuncEps(num, den)
+            rows[j][i] = -rows[i][j]
+    return Mat(rows)
+
+
+def test_cayley_commutes_with_specialization():
+    # evaluation at a rational t is a field map away from poles, so
+    # cayley(A)(t) == cayley(A(t)), the right side computed over Q
+    rng = random.Random(35)
+    inputs = []
+    for n in (2, 3, 4, 5):
+        eb = eps * random_skew(rng, n) * Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        inputs += [eb, cayley(eb)]  # an image's rows share one denominator
+    inputs += [_typed_skew(rng, n, kind) for n in (2, 3, 4) for kind in ("shared", "repeated", "constant")]
+    points = (Fraction(1, 2), Fraction(-2, 3), 3, Fraction(5, 7))
+    checked = 0
+    for a in inputs:
+        image = cayley(a)
+        for t in points:
+            try:
+                at = _at(a, t)
+                want = cayley(at)
+                got = _at(image, t)
+            except (ZeroDivisionError, CayleyObstructionError):
+                continue
+            assert got == want
+            checked += 1
+    assert checked >= 0.9 * len(inputs) * len(points)

@@ -64,3 +64,22 @@ def test_a_result_too_long_to_print_exits_2(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert proc.stderr == "error: the result has a coefficient too long to print\n"
+
+
+def test_json_integers_are_bounded_by_rotnear_own_digit_limit(tmp_path, capsys):
+    # past MAX_DIGITS, below Python's own limit of 4300 digits or above it,
+    # the message names rotnear's limit, not a Python call the user cannot make
+    path = tmp_path / "m.json"
+    for digits in (MAX_DIGITS + 1000, MAX_DIGITS + 1):
+        path.write_text('{"n": ' + "7" * digits + ', "entries": [["1"]]}')
+        code = main(["in-n", str(path)])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err == f"error: invalid JSON: integer with {digits} digits exceeds the limit {MAX_DIGITS}\n"
+        assert "set_int_max_str_digits" not in out.err
+    n = "7" * MAX_DIGITS
+    path.write_text('{"n": ' + n + ', "entries": [["1"]]}')
+    code = main(["in-n", str(path)])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == f"error: dimension {n} exceeds the limit {MAX_DIM}\n"
