@@ -42,8 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import PolyEps, eps, is_infinitesimal
-from .linalg import Mat, SingularMatrixError, _bareiss, _canonical, _matmul, _norm1, _over
-from .linalg import _pack, _shape, _unpack
+from .linalg import Mat, SingularMatrixError, _bareiss, _canonical, _matmul, _over, _shape
 from .quadspace import BilinearSpace, Isometry
 
 __all__ = [
@@ -66,10 +65,8 @@ def cayley(a):
     (I + a)^-1 = d (dI + P)^-1.  One fraction-free Gauss-Jordan
     elimination on dI + P gives its last pivot delta and
     R = delta (dI + P)^-1, so the image is (2d R - delta I) / delta,
-    canonicalized once as a pair.  Over Z[e], 2d R - delta I is formed on
-    packed ints, at a width past every coefficient's bound
-    2 |d|_1 max |R_ij|_inf + |delta|_inf.  Raises CayleyObstructionError
-    when I + A is singular."""
+    canonicalized once as a pair.  Raises CayleyObstructionError when
+    I + A is singular."""
     p, d = a._p, a._d
     plus = [[d + x if i == j else x for j, x in enumerate(row)] for i, row in enumerate(p)]
     try:
@@ -78,20 +75,11 @@ def cayley(a):
         raise CayleyObstructionError(
             "-1 is an eigenvalue obstruction: I+A is singular"
         ) from exc
-    if type(d) is int:
-        d2 = 2 * d
-        num = [
-            [d2 * x - delta if i == j else d2 * x for j, x in enumerate(row)]
-            for i, row in enumerate(r)
-        ]
-    else:
-        top = max((abs(c) for row in r for x in row for c in x.coeffs), default=0)
-        w = (2 * _norm1(d) * top + max(map(abs, delta.coeffs))).bit_length() + 1
-        dv, delta_v = 2 * _pack(d, w), _pack(delta, w)
-        num = [
-            [_unpack(dv * _pack(x, w) - (delta_v if i == j else 0), w) for j, x in enumerate(row)]
-            for i, row in enumerate(r)
-        ]
+    d2 = 2 * d
+    num = [
+        [d2 * x - delta if i == j else d2 * x for j, x in enumerate(row)]
+        for i, row in enumerate(r)
+    ]
     return Mat._of(*_canonical(num, delta))
 
 
